@@ -979,7 +979,7 @@ let trace_cmd =
         in
         match
           Orion.Engine.run inst.Orion.App.inst_session inst ~mode ~passes
-            ~telemetry:true ()
+            ~scale ~telemetry:true ()
         with
         | exception (Orion.Engine.Distributed_error _ as exn) ->
             Printf.eprintf "orion trace: %s\n"

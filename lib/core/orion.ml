@@ -493,8 +493,8 @@ module App = struct
     inst_arrays : (string * float Dist_array.t) list;
         (** every float model DistArray by name — outputs and read-only
             inputs alike; the handles the distributed runtime ships as
-            partitions, serves prefetches from, and applies write
-            journals to *)
+            partitions, serves prefetches from, and stamps written
+            elements in *)
     inst_buffered : string list;
         (** buffer-written arrays, dependence-exempt; merged from
             per-domain shadows under parallel execution *)

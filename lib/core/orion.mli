@@ -217,8 +217,8 @@ module App : sig
     inst_arrays : (string * float Dist_array.t) list;
         (** every float model DistArray by name — outputs and read-only
             inputs alike; what the distributed runtime ships as
-            partitions, serves prefetches from, and applies write
-            journals to *)
+            partitions, serves prefetches from, and stamps written
+            elements in *)
     inst_buffered : string list;
         (** buffer-written arrays, dependence-exempt; merged from
             per-domain shadows under parallel execution *)

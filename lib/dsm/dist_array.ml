@@ -231,6 +231,27 @@ let set t key v =
       end;
       Hashtbl.replace s.table lin v
 
+(* Linear-index access for runtimes that already hold linearized keys
+   (the distributed worker's dirty-element stamps).  [lin] must come
+   from [linearize] on this array. *)
+let get_lin t lin =
+  match t.storage with
+  | Dense d -> d.(lin)
+  | Sparse s -> (
+      match Hashtbl.find s.table lin with
+      | v -> v
+      | exception Not_found -> t.default)
+
+let set_lin t lin v =
+  match t.storage with
+  | Dense d -> d.(lin) <- v
+  | Sparse s ->
+      if not (Hashtbl.mem s.table lin) then begin
+        check_sparse_insert t lin;
+        s.sorted_keys <- None
+      end;
+      Hashtbl.replace s.table lin v
+
 let update t key f =
   let lin = linearize t key in
   match t.storage with
@@ -458,6 +479,56 @@ let to_extern ?on_get ?on_set (t : float t) : Orion_lang.Value.extern =
     ex_fast = fast;
   }
 
+(* The linearized keys a successful [set_slice_vec t subs] wrote: the
+   last range dimension runs over its range, every other dimension
+   sits at its point or range start. *)
+let iter_sub_lins t (subs : Orion_lang.Value.concrete_sub array) f =
+  let base = ref 0 and stride = ref 0 and len = ref 1 in
+  Array.iteri
+    (fun i s ->
+      let lo, hi =
+        match s with
+        | Orion_lang.Value.Cpoint p -> (p, p)
+        | Orion_lang.Value.Crange (a, b) -> (a, b)
+        | Orion_lang.Value.Call_dim -> (0, t.dims.(i) - 1)
+      in
+      base := !base + (lo * t.strides.(i));
+      match s with
+      | Orion_lang.Value.Cpoint _ -> ()
+      | _ ->
+          stride := t.strides.(i);
+          len := hi - lo + 1)
+    subs;
+  for k = 0 to !len - 1 do
+    f (!base + (k * !stride))
+  done
+
+(** {!to_extern} for the distributed worker: every element write, on
+    the boxed and the unboxed path alike, is followed by [stamp lin]
+    with the written element's linearized key.  No access hook is
+    involved, so compiled kernels keep their fast path. *)
+let to_stamped_extern ~(stamp : int -> unit) (t : float t) :
+    Orion_lang.Value.extern =
+  let module V = Orion_lang.Value in
+  let ex = to_extern t in
+  {
+    ex with
+    V.ex_set =
+      (fun subs v ->
+        ex.V.ex_set subs v;
+        iter_sub_lins t subs stamp);
+    ex_fast =
+      Some
+        {
+          V.fa_get = get t;
+          fa_set =
+            (fun key v ->
+              let lin = linearize t key in
+              set_lin t lin v;
+              stamp lin);
+        };
+  }
+
 (** Expose a sparse DistArray with arbitrary element type by converting
     values with [to_value] (iteration only — e.g. SLR samples). *)
 let to_iter_extern ~to_value (t : 'a t) : Orion_lang.Value.extern =
@@ -518,6 +589,20 @@ let to_partition ?select (t : 'a t) : 'a partition =
     pt_entries = entries;
   }
 
+(* Write linearized entries, checking each key against the array's
+   size instead of round-tripping it through a structured key. *)
+let set_entries t entries =
+  let size = total_size t.dims in
+  Array.iter
+    (fun (lin, v) ->
+      if lin < 0 || lin >= size then
+        raise
+          (Out_of_bounds
+             (Printf.sprintf "%s: linear index %d out of bounds (size %d)"
+                t.name lin size));
+      set_lin t lin v)
+    entries
+
 (** Write a partition's entries into [t] (point sets; sparse arrays may
     gain keys outside parallel sections).
     @raise Dimension_mismatch when names or dims disagree. *)
@@ -531,7 +616,7 @@ let apply_partition (t : 'a t) (p : 'a partition) =
     raise
       (Dimension_mismatch
          (Printf.sprintf "%s: partition dims do not match array dims" t.name));
-  Array.iter (fun (lin, v) -> set t (delinearize t lin) v) p.pt_entries
+  set_entries t p.pt_entries
 
 (** Materialize a fresh DistArray holding exactly a partition's
     entries, with the source's storage kind (dense cells missing from
@@ -543,7 +628,7 @@ let of_partition ?name (p : 'a partition) : 'a t =
       create_sparse ~name ~dims:(Array.copy p.pt_dims) ~default:p.pt_default
     else fill_dense ~name ~dims:(Array.copy p.pt_dims) p.pt_default
   in
-  Array.iter (fun (lin, v) -> set t (delinearize t lin) v) p.pt_entries;
+  set_entries t p.pt_entries;
   t
 
 let partition_to_bytes (p : 'a partition) : bytes = Marshal.to_bytes p []

@@ -92,6 +92,11 @@ val get_opt : 'a t -> int array -> 'a option
 val set : 'a t -> int array -> 'a -> unit
 val update : 'a t -> int array -> ('a -> 'a) -> unit
 
+(** Access by linearized key (from {!linearize} on the same array). *)
+val get_lin : 'a t -> int -> 'a
+
+val set_lin : 'a t -> int -> 'a -> unit
+
 (** {1 Iteration — ascending key order, deterministic across runs} *)
 
 val sorted_keys : 'a t -> int array
@@ -126,6 +131,13 @@ val to_extern :
   ?on_set:(Orion_lang.Value.concrete_sub array -> unit) ->
   float t ->
   Orion_lang.Value.extern
+
+(** {!to_extern} without hooks for the distributed worker: after every
+    element write (boxed or unboxed path) [stamp] receives the written
+    element's linearized key, so the runtime can track dirty elements
+    while compiled kernels keep their fast path. *)
+val to_stamped_extern :
+  stamp:(int -> unit) -> float t -> Orion_lang.Value.extern
 
 (** Iteration-only extern for arbitrary element types. *)
 val to_iter_extern :

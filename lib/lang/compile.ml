@@ -20,7 +20,7 @@
     [env.profile] or [env.on_array_access] is set — the same records in
     the same order (every access site dynamically falls back to the
     boxed, hook-calling path when either is set, so one kernel serves
-    both the multicore engine and the journaling distributed worker).
+    the multicore engine, the profiler and the race checker).
 
     Known (documented) semantic hole: globals are captured from
     [env.vars] once at compile time, so a host builtin that rebinds

@@ -13,10 +13,11 @@
     {!Orion.Engine.Distributed_error}, never as a hang.
 
     Its own instance stays untouched while the workers run; the final
-    state is assembled purely from the wire: every worker's own-block
-    write journal applied in (pass, natural-order) order — a valid
-    serialization of the happens-before order, so non-buffered arrays
-    reproduce the serial result bitwise — then buffered-array shadows
+    state is assembled purely from the wire.  Every rank holds the same
+    state after the last pass barrier, so each ships the current values
+    of the elements whose last writer it owns; the ranks' shares are
+    disjoint and cover every written element, so non-buffered arrays
+    reproduce the serial result bitwise.  Then buffered-array shadows
     merged in ascending rank order ([+=] of nonzero entries, exactly
     the domain pool's shadow merge), cross-checked against each
     worker's reported accumulator totals. *)
@@ -138,7 +139,7 @@ type worker_state = {
   mutable st_conn : Transport.conn option;
   mutable st_addr : string option;  (** from Listening *)
   mutable st_prefetch : string list option;  (** from Prefetch_request *)
-  mutable st_report : Wire.block_writes list option;
+  mutable st_final : Wire.part_payload list option;
   mutable st_flush : Wire.part list option;
   mutable st_totals : (string * float) list option;
   mutable st_done : Wire.worker_stats option;
@@ -197,42 +198,17 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
      A [Repartition] ships the new cut plus the fingerprint of the
      master's rebuilt schedule.  Only space-boundary re-balancing is
      honored distributed: tp and the model pin the happens-before edges
-     and the (pass, natural-order) final assembly, so they never change
-     mid-run. *)
-  let rebuild_schedule new_boundaries =
-    match plan.Plan.strategy with
-    | Plan.One_d { space_dim } ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim
-             ~space_boundaries:new_boundaries)
-    | Plan.Data_parallel ->
-        Some
-          (Schedule.partition_1d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim:0
-             ~space_boundaries:new_boundaries)
-    | Plan.Two_d { space_dim; time_dim } ->
-        Some
-          (Schedule.partition_2d_with ~shuffle_seed:17
-             inst.Orion.App.inst_iter ~space_dim ~time_dim
-             ~space_boundaries:new_boundaries ~time_parts:tp)
-    | Plan.Two_d_unimodular _ -> None
-  in
-  (* ranks whose pass-N telemetry has arrived; the directive broadcasts
-     once all [nw] have reported *)
+     and the block versions every stamp carries, so they never change
+     mid-run.  [tel_ranks]: ranks whose pass-N telemetry has arrived;
+     the directive broadcasts once all [nw] have reported. *)
   let tel_ranks : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* (pass, natural-order position) ordering shared by pass-boundary
-     checkpoints and the final assembly *)
-  let order = Domain_exec.natural_order model ~sp ~tp in
-  let pos = Hashtbl.create (sp * tp) in
-  Array.iteri (fun i (s, t) -> Hashtbl.replace pos ((s * tp) + t) i) order;
   (* -- pass-boundary checkpoint assembly ----------------------------
      When a checkpoint sink is registered, workers ship a Pass_report
      after every pass barrier.  The master folds them into shadow
      copies of the model arrays — never its own instance, which the
-     final assembly owns — applying each pass's writes in natural block
-     order (as the final assembly would), and keeping each rank's
-     latest cumulative buffered shadows.  When every rank has reported
+     final assembly owns — applying each rank's disjoint share of the
+     elements written in the pass, and keeping each rank's latest
+     cumulative buffered shadows.  When every rank has reported
      a pass, the boundary state is complete and the sink fires. *)
   let ck_copies : (string, float Dist_array.t) Hashtbl.t = Hashtbl.create 8 in
   if checkpoint <> None then
@@ -242,13 +218,13 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
           (Dist_array.of_partition (Dist_array.to_partition a)))
       inst.Orion.App.inst_arrays;
   let ck_pending :
-      (int, Wire.block_writes list option array * Wire.part list option array)
+      (int, Wire.part_payload list option array * Wire.part list option array)
       Hashtbl.t =
     Hashtbl.create 8
   in
   let ck_latest_shadows : Wire.part list array = Array.make nw [] in
   let ck_next = ref 0 in
-  let note_pass_report ~rank ~pass entries parts =
+  let note_pass_report ~rank ~pass owned parts =
     match checkpoint with
     | None -> ()
     | Some (every, sink) ->
@@ -260,7 +236,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
               Hashtbl.replace ck_pending pass s;
               s
         in
-        (fst slot).(rank) <- Some entries;
+        (fst slot).(rank) <- Some owned;
         (snd slot).(rank) <- Some parts;
         let rec drain () =
           match Hashtbl.find_opt ck_pending !ck_next with
@@ -268,24 +244,15 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
               let pass = !ck_next in
               Hashtbl.remove ck_pending pass;
               incr ck_next;
-              let all =
-                Array.to_list es
-                |> List.concat_map (fun o -> Option.value o ~default:[])
-                |> List.sort
-                     (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
-                       compare
-                         (Hashtbl.find pos a.bw_block)
-                         (Hashtbl.find pos b.bw_block))
-              in
-              List.iter
-                (fun (bw : Wire.block_writes) ->
-                  Array.iter
-                    (fun (w : Wire.write) ->
-                      match Hashtbl.find_opt ck_copies w.w_array with
-                      | Some arr -> Dist_array.set arr w.w_key w.w_value
-                      | None -> ())
-                    bw.bw_writes)
-                all;
+              Array.iter
+                (fun o ->
+                  List.iter
+                    (fun (part : Wire.part) ->
+                      Option.iter
+                        (fun arr -> Dist_array.apply_partition arr part)
+                        (Hashtbl.find_opt ck_copies part.Dist_array.pt_array))
+                    (Policy.decode_parts (Option.value o ~default:[])))
+                es;
               Array.iteri
                 (fun r p ->
                   match p with
@@ -365,7 +332,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
           st_conn = None;
           st_addr = None;
           st_prefetch = None;
-          st_report = None;
+          st_final = None;
           st_flush = None;
           st_totals = None;
           st_done = None;
@@ -385,9 +352,25 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
     Transport.close_listener listener;
     kill_workers pids
   in
+  let events = Event_loop.create () in
+  (* A failing run still checkpoints every pass boundary whose reports
+     already reached this process: a fast worker can crash before the
+     supervision loop has read what its peers sent first. *)
+  let rec salvage_reports () =
+    let evs = Event_loop.poll events ~timeout:0.0 in
+    List.iter
+      (function
+        | Event_loop.Message
+            (rank, Wire.Pass_report { pp_pass; pp_parts; pp_buffered; _ }) ->
+            note_pass_report ~rank ~pass:pp_pass pp_parts pp_buffered
+        | Event_loop.Message _ | Event_loop.Closed _ -> ())
+      evs;
+    if evs <> [] then salvage_reports ()
+  in
   let fail_cleanup ?rank fmt =
     Printf.ksprintf
       (fun s ->
+        (try salvage_reports () with _ -> ());
         cleanup ();
         raise
           (Orion.Engine.Distributed_error { de_rank = rank; de_reason = s }))
@@ -557,9 +540,8 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
             ~duration_sec:(elapsed /. float_of_int (max 1 (List.length parts))))
         accounts
     in
-    let handshake = Event_loop.create () in
     for rank = 0 to nw - 1 do
-      Event_loop.add handshake rank (conn rank)
+      Event_loop.add events rank (conn rank)
     done;
     let ready rank =
       states.(rank).st_addr <> None && states.(rank).st_prefetch <> None
@@ -598,7 +580,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
               fail_cleanup ~rank "unexpected %s during startup" (Wire.tag m)
           | Event_loop.Closed rank ->
               fail_cleanup ~rank "worker disconnected during startup")
-        (Event_loop.poll handshake ~timeout:0.1)
+        (Event_loop.poll events ~timeout:0.1)
     done;
     let peers =
       Array.init nw (fun rank ->
@@ -615,8 +597,8 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
       check_deadline "workers to finish";
       List.iter
         (function
-          | Event_loop.Message (rank, Wire.Block_report { br_entries; _ }) ->
-              states.(rank).st_report <- Some br_entries
+          | Event_loop.Message (rank, Wire.Final_state { fs_parts; _ }) ->
+              states.(rank).st_final <- Some fs_parts
           | Event_loop.Message (rank, Wire.Buffer_flush { bf_parts; _ }) ->
               states.(rank).st_flush <- Some bf_parts
           | Event_loop.Message (rank, Wire.Acc_merge { am_totals; _ }) ->
@@ -663,7 +645,9 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
                         | Some
                             { Orion.Engine.rp_space_boundaries = Some sb; _ }
                           -> (
-                            match rebuild_schedule sb with
+                            match
+                              Dist_worker.rebuild_schedule plan inst ~tp sb
+                            with
                             | Some ns ->
                                 Wire.Repartition
                                   {
@@ -681,12 +665,12 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
                 | _ -> ()
               end
           | Event_loop.Message
-              (rank, Wire.Pass_report { pp_pass; pp_entries; pp_buffered; _ })
+              (rank, Wire.Pass_report { pp_pass; pp_parts; pp_buffered; _ })
             ->
-              note_pass_report ~rank ~pass:pp_pass pp_entries pp_buffered
+              note_pass_report ~rank ~pass:pp_pass pp_parts pp_buffered
           | Event_loop.Message (rank, Wire.Done stats) ->
               if
-                states.(rank).st_report = None
+                states.(rank).st_final = None
                 || states.(rank).st_flush = None
                 || states.(rank).st_totals = None
               then fail_cleanup ~rank "done before final reports";
@@ -718,7 +702,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
                   match abnormal_exit_wait ~except:rank with
                   | Some (r, st) -> fail_cleanup ~rank:r "%s" (status_reason st)
                   | None -> fail_cleanup ~rank "worker socket closed mid-run")))
-        (Event_loop.poll handshake ~timeout:0.1)
+        (Event_loop.poll events ~timeout:0.1)
     done;
     (* -- orderly shutdown ------------------------------------------- *)
     for rank = 0 to nw - 1 do
@@ -736,7 +720,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
         let rec reap deadline =
           match Unix.waitpid [ Unix.WNOHANG ] pid with
           | 0, _ when Unix.gettimeofday () < deadline ->
-              Unix.sleepf 0.01;
+              Unix.sleepf 0.001;
               reap deadline
           | 0, _ ->
               (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -752,27 +736,28 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
     List.iter
       (fun (n, a) -> Hashtbl.replace arr_tbl n a)
       inst.Orion.App.inst_arrays;
-    (* non-buffered writes: apply every worker's journal in (pass,
-       natural-order) order — a serialization of the happens-before
-       order, reproducing the serial element values bitwise *)
-    let all_blocks =
-      Array.to_list states
-      |> List.concat_map (fun st -> Option.value st.st_report ~default:[])
-      |> List.sort
-           (fun (a : Wire.block_writes) (b : Wire.block_writes) ->
-             compare
-               (a.bw_pass, Hashtbl.find pos a.bw_block)
-               (b.bw_pass, Hashtbl.find pos b.bw_block))
-    in
-    List.iter
-      (fun (bw : Wire.block_writes) ->
-        Array.iter
-          (fun (w : Wire.write) ->
-            match Hashtbl.find_opt arr_tbl w.w_array with
-            | Some arr -> Dist_array.set arr w.w_key w.w_value
-            | None -> err "block report writes unknown array %S" w.w_array)
-          bw.bw_writes)
-      all_blocks;
+    (* non-buffered arrays: each rank's disjoint share of the written
+       elements, accounted like every other transfer *)
+    Array.iteri
+      (fun rank st ->
+        let payloads = Option.value st.st_final ~default:[] in
+        List.iter2
+          (fun payload (part : Wire.part) ->
+            let name = part.Dist_array.pt_array in
+            (match Hashtbl.find_opt arr_tbl name with
+            | Some arr -> Dist_array.apply_partition arr part
+            | None -> err "final state for unknown array %S" name);
+            let bytes = Policy.payload_bytes payload in
+            account name bytes;
+            account_full name
+              (float_of_int (Dist_array.partition_size_bytes part));
+            Trace.add trace ~label:("gather:" ^ name) ~bytes ~worker:rank
+              ~category:Trace.Transfer
+              ~start_sec:(Unix.gettimeofday () -. t0)
+              ~duration_sec:0.0)
+          payloads
+          (Policy.decode_parts payloads))
+      states;
     (* buffered arrays: merge shadows in ascending rank order, exactly
        the domain pool's deterministic shadow merge *)
     Array.iteri

@@ -13,21 +13,23 @@
     prefetch for server-hosted ones), so the shipping path is
     load-bearing, not decorative.
 
-    During execution the worker journals every non-buffered DistArray
-    element write (via the interpreter's access hook, in execution
-    order).  Each cross-worker happens-before edge [src → dst] is
-    realized as a {!Wire.Rotation_token} carrying {e all} block write
-    logs this worker knows and the destination has not seen — its own
-    and relayed ones — so a receiver learns everything that
-    happens-before the sending block, even transitively through ranks
-    that never touched the data.  Incoming writes are applied
-    last-writer-wins by (pass, natural-order position of the writing
-    block): all writers of one element are happens-before-ordered and
+    During execution the worker stamps every non-buffered DistArray
+    element it writes with the writing block's version (pass,
+    natural-order position) through stamping externs, so compiled
+    kernels keep their unboxed fast path ({!Policy.stamps}).  Each
+    cross-worker happens-before edge [src → dst] is realized as a
+    {!Wire.Rotation_token} carrying every element this worker learned
+    since its last payload to the destination — own writes and relayed
+    ones — so a receiver learns everything that happens-before the
+    sending block, even transitively through ranks that never touched
+    the data.  Incoming elements are applied last-writer-wins by
+    version: all writers of one element are happens-before-ordered and
     natural order linearizes happens-before, so this is exact no matter
     how tokens from different peers interleave.  A pass ends with an
-    all-to-all {!Wire.Pass_sync} barrier flushing the rest.  Blocks
-    that wrote nothing still send tokens — edge satisfaction is tracked
-    by token arrival, not by journal content.
+    all-to-all {!Wire.Pass_sync} barrier flushing the rest, after which
+    every rank holds the same state.  Blocks that wrote nothing still
+    send tokens — edge satisfaction is tracked by token arrival, not by
+    payload content.
 
     Buffered arrays get a local zero shadow (exactly the domain pool's
     per-domain shadows); the nonzero entries are flushed to the master
@@ -106,32 +108,26 @@ let accept_with_deadline (l : Transport.listener) ~deadline ~what :
   wait_readable l.Transport.lfd ~deadline ~what;
   Transport.accept l
 
-(* ------------------------------------------------------------------ *)
-(* Concrete-subscript expansion (as lib/verify's access log does)      *)
-(* ------------------------------------------------------------------ *)
-
-let expand_keys (dims : int array) (subs : Value.concrete_sub array) :
-    int array list =
-  let all_points =
-    Array.for_all (function Value.Cpoint _ -> true | _ -> false) subs
-  in
-  if all_points then
-    [ Array.map (function Value.Cpoint p -> p | _ -> 0) subs ]
-  else
-    let expand_sub dim = function
-      | Value.Cpoint p -> [ p ]
-      | Value.Crange (a, b) -> List.init (max 0 (b - a + 1)) (fun k -> a + k)
-      | Value.Call_dim -> List.init dim Fun.id
-    in
-    let rec cart i =
-      if i >= Array.length subs then [ [] ]
-      else
-        let tails = cart (i + 1) in
-        List.concat_map
-          (fun p -> List.map (fun tl -> p :: tl) tails)
-          (expand_sub dims.(i) subs.(i))
-    in
-    List.map Array.of_list (cart 0)
+(** The schedule of [plan] under a re-balanced space cut, built with
+    [Orion.compile]'s shuffle seed so master and workers fingerprint
+    identically; [None] for unimodular schedules, which are not re-cut. *)
+let rebuild_schedule (plan : Plan.t) (inst : Orion.App.instance) ~tp
+    space_boundaries =
+  let iter = inst.Orion.App.inst_iter in
+  match plan.Plan.strategy with
+  | Plan.One_d { space_dim } ->
+      Some
+        (Schedule.partition_1d_with ~shuffle_seed:17 iter ~space_dim
+           ~space_boundaries)
+  | Plan.Data_parallel ->
+      Some
+        (Schedule.partition_1d_with ~shuffle_seed:17 iter ~space_dim:0
+           ~space_boundaries)
+  | Plan.Two_d { space_dim; time_dim } ->
+      Some
+        (Schedule.partition_2d_with ~shuffle_seed:17 iter ~space_dim ~time_dim
+           ~space_boundaries ~time_parts:tp)
+  | Plan.Two_d_unimodular _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The worker protocol                                                 *)
@@ -184,25 +180,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (Domain_exec.model_to_string p.p_model);
   if Schedule.fingerprint !sched <> p.p_fingerprint then
     fail "schedule fingerprint mismatch (nondeterministic compile?)";
-  (* rebuild under a re-balanced space cut, with [Orion.compile]'s
-     shuffle seed so master and workers fingerprint identically *)
-  let rebuild_schedule new_boundaries =
-    match plan.Plan.strategy with
-    | Plan.One_d { space_dim } ->
-        Schedule.partition_1d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim
-          ~space_boundaries:new_boundaries
-    | Plan.Data_parallel ->
-        Schedule.partition_1d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim:0
-          ~space_boundaries:new_boundaries
-    | Plan.Two_d { space_dim; time_dim } ->
-        Schedule.partition_2d_with ~shuffle_seed:17
-          inst.Orion.App.inst_iter ~space_dim ~time_dim
-          ~space_boundaries:new_boundaries ~time_parts:tp
-    | Plan.Two_d_unimodular _ ->
-        fail "repartition is unsupported for unimodular schedules"
-  in
   if rank < 0 || rank >= sp then fail "rank %d out of range (sp = %d)" rank sp;
   if p.p_procs <> sp then
     fail "worker count %d does not match space partitions %d" p.p_procs sp;
@@ -259,19 +236,21 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           (fun (key, _) -> Dist_array.set a key 0.0)
           (Dist_array.entries a))
     arrays;
-  let apply_parts what payloads =
+  let apply_parts what parts =
     List.iter
       (fun (part : Wire.part) ->
         match Hashtbl.find_opt arr_tbl part.Dist_array.pt_array with
         | Some a -> Dist_array.apply_partition a part
         | None -> fail "%s for unknown array %S" what part.Dist_array.pt_array)
-      (Policy.decode_parts payloads)
+      parts
   in
   (match recv_master "partition ship" with
-  | Wire.Partition_ship parts -> apply_parts "partition ship" parts
+  | Wire.Partition_ship parts ->
+      apply_parts "partition ship" (Policy.decode_parts parts)
   | m -> fail "expected partition-ship, got %s" (Wire.tag m));
   (match recv_master "prefetch response" with
-  | Wire.Prefetch_response parts -> apply_parts "prefetch response" parts
+  | Wire.Prefetch_response parts ->
+      apply_parts "prefetch response" (Policy.decode_parts parts)
   | m -> fail "expected prefetch-response, got %s" (Wire.tag m));
   let peer_addrs =
     match recv_master "peers" with
@@ -324,13 +303,22 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         else None)
       arrays
   in
-  (* -- compiled kernel ----------------------------------------------
-     Compiled once, after the shadow rebinding (the kernel captures
-     env's current array bindings).  The write-journal hook installed
-     below is checked dynamically inside the kernel, so every DistArray
-     access still routes through the boxed, hook-calling path while the
-     journal is attached — the journal sees exactly what it would see
-     under the interpreter. *)
+  (* -- dirty-element stamps -------------------------------------------
+     Every non-buffered array is rebound to a stamping extern before
+     the kernel is compiled (the kernel captures env's current array
+     bindings), so its writes are stamped on the unboxed fast path. *)
+  let order = Domain_exec.natural_order model ~sp ~tp in
+  let owner blk = blk / tp in
+  let stamps =
+    Policy.stamps comms ~rank ~peers:sp
+      ~owners:(Array.map (fun (s, _) -> s) order)
+      (List.filter_map
+         (fun (n, a) -> if List.mem n buffered then None else Some a)
+         arrays)
+  in
+  List.iter
+    (fun (name, ex) -> Interp.set_var env name (Value.Vextern ex))
+    (Policy.externs stamps);
   let kernel = Orion.Engine.compile_kernel inst env in
   let exec_entry ~key ~value =
     match kernel with
@@ -340,59 +328,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
           ~value_var:inst.Orion.App.inst_value_var ~key ~value
           inst.Orion.App.inst_body
   in
-  (* -- write journal ------------------------------------------------ *)
-  let order = Domain_exec.natural_order model ~sp ~tp in
-  let natpos : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i (s, t) -> Hashtbl.replace natpos ((s * tp) + t) i) order;
-  let pos blk = try Hashtbl.find natpos blk with Not_found -> max_int in
-  (* Version of the last write applied to each element, as
-     (pass, natural-order position of the writing block).  The analysis
-     guarantees all writers of one element are happens-before-ordered,
-     and natural order linearizes happens-before, so last-writer-wins by
-     version applies remote writes correctly regardless of the order
-     tokens from different peers arrive in. *)
-  let versions : (string * int array, int * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let apply_write ~version (w : Wire.write) =
-    match Hashtbl.find_opt arr_tbl w.w_array with
-    | None -> ()
-    | Some arr ->
-        let stale =
-          match Hashtbl.find_opt versions (w.w_array, w.w_key) with
-          | Some v -> v > version
-          | None -> false
-        in
-        if not stale then begin
-          Hashtbl.replace versions (w.w_array, w.w_key) version;
-          Dist_array.set arr w.w_key w.w_value
-        end
-  in
-  let cur_version = ref (0, 0) in
-  let current : Wire.write list ref = ref [] (* newest first *) in
-  env.Interp.on_array_access <-
-    Some
-      (fun ex ~write subs ->
-        if write then
-          match Hashtbl.find_opt arr_tbl ex.Value.ex_name with
-          | Some arr when not (List.mem ex.Value.ex_name buffered) ->
-              (* the hook fires after the write: [get] reads the
-                 just-written value *)
-              List.iter
-                (fun key ->
-                  Hashtbl.replace versions (ex.Value.ex_name, key)
-                    !cur_version;
-                  current :=
-                    {
-                      Wire.w_array = ex.Value.ex_name;
-                      w_key = key;
-                      w_value = Dist_array.get arr key;
-                    }
-                    :: !current)
-                (expand_keys ex.Value.ex_dims subs)
-          | _ -> ());
   (* -- happens-before bookkeeping ----------------------------------- *)
-  let owner blk = blk / tp in
   let incoming : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   let outgoing : (int, int list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -408,49 +344,33 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (Domain_exec.block_edges model ~sp ~tp);
   let tokens : (int * int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let syncs : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let known : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Everything this worker knows (own blocks and received ones), in
-     the order learned.  Tokens relay the whole unseen suffix, not just
-     own writes: a receiver thereby learns everything that
-     happens-before the sending block, even transitively through ranks
-     that never touched the data ([known] dedups the echoes). *)
-  let own : Wire.block_writes list ref = ref [] (* newest first *) in
-  let known_log : Wire.block_writes list ref = ref [] (* newest first *) in
-  let klen = ref 0 in
-  let learn (bw : Wire.block_writes) =
-    if not (Hashtbl.mem known (bw.bw_pass, bw.bw_block)) then begin
-      Hashtbl.replace known (bw.bw_pass, bw.bw_block) ();
-      known_log := bw :: !known_log;
-      incr klen
-    end;
-    (* apply unconditionally, not only on first sight: a lossy policy's
-       pass-sync flush re-delivers residual writes for blocks learned
-       earlier, and last-writer-wins application is idempotent *)
-    let version = (bw.bw_pass, pos bw.bw_block) in
-    Array.iter (apply_write ~version) bw.bw_writes
+  (* Payloads queue on arrival and are applied at fixed points — after
+     each token wait and after the pass barrier — so the decode+apply
+     span never nests inside another span.  A payload a faster peer
+     sent for a later pass stays queued until this worker enters that
+     pass, so the state at each pass boundary (pass reports, migration)
+     holds exactly the writes of the passes so far. *)
+  let cur_pass = ref 0 in
+  let inbox : (int * Wire.payload) list ref = ref [] (* newest first *) in
+  let absorb () =
+    let due, later = List.partition (fun (p', _) -> p' <= !cur_pass) !inbox in
+    if due <> [] then begin
+      inbox := later;
+      let start = tel_now () in
+      List.iter (fun (_, p) -> Policy.apply stamps p) (List.rev due);
+      tel_span ~category:Orion_obs.Trace.Marshal ~label:"apply" ~bytes:0.0
+        ~start
+    end
   in
-  let apply_entries entries = List.iter learn entries in
-  (* -- communication policy ----------------------------------------- *)
-  let linearize name key =
-    match Hashtbl.find_opt arr_tbl name with
-    | Some a -> Dist_array.linearize a key
-    | None -> fail "journaled write to unknown array %S" name
-  in
-  let delinearize name lin =
-    match Hashtbl.find_opt arr_tbl name with
-    | Some a -> Dist_array.delinearize a lin
-    | None -> fail "packed payload for unknown array %S" name
-  in
-  let sender = Policy.sender comms ~peers:sp ~linearize ~pos in
   (* migration shipments, keyed (pass, sending rank) *)
   let reparts : (int * int, Wire.part list) Hashtbl.t = Hashtbl.create 16 in
   let handle = function
-    | Event_loop.Message (_, Wire.Rotation_token { rt_pass; rt_src; rt_dst; rt_entries })
-      ->
-        apply_entries (Policy.decode_entries ~delinearize rt_entries);
+    | Event_loop.Message
+        (_, Wire.Rotation_token { rt_pass; rt_src; rt_dst; rt_payload }) ->
+        inbox := (rt_pass, rt_payload) :: !inbox;
         Hashtbl.replace tokens (rt_pass, rt_src, rt_dst) ()
-    | Event_loop.Message (_, Wire.Pass_sync { ps_pass; ps_rank; ps_entries }) ->
-        apply_entries (Policy.decode_entries ~delinearize ps_entries);
+    | Event_loop.Message (_, Wire.Pass_sync { ps_pass; ps_rank; ps_payload }) ->
+        inbox := (ps_pass, ps_payload) :: !inbox;
         Hashtbl.replace syncs (ps_pass, ps_rank) ()
     | Event_loop.Message (_, Wire.Repart_ship { rs_pass; rs_rank; rs_parts })
       ->
@@ -478,55 +398,49 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     Transport.send_draining (peer q) m ~drain:(fun () ->
         if Unix.gettimeofday () > deadline then
           fail "timed out sending %s to peer %d" (Wire.tag m) q;
-        List.iter handle (Event_loop.poll loop ~timeout:0.05))
+        List.iter handle
+          (Event_loop.poll loop ~writable:(peer q) ~timeout:0.05))
   in
-  (* per-peer cursor into [known_log]; entries the peer authored itself
-     are filtered out of the payload (it has them by construction).
-     The comms policy then decides what actually goes on the wire:
-     [prepare_payload] returns the encoded payload plus its actual
-     bytes (which label the telemetry Transfer span around the send),
-     accumulating both the actual and the full-policy-equivalent bytes
-     per array for the final stats. *)
-  let sent_upto = Array.make sp 0 in
+  (* The comms policy decides what goes on the wire: [prepare_payload]
+     returns the encoded payload plus its actual bytes (which label the
+     telemetry Transfer span around the send), accumulating both the
+     actual and the raw [full]-policy bytes per array for the final
+     stats. *)
   let bytes_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let bytes_full_by_array : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let fresh_entries q =
-    let n = !klen - sent_upto.(q) in
-    sent_upto.(q) <- !klen;
-    let rec take k l =
-      if k = 0 then []
-      else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
+  let account name ~actual ~full =
+    let bump tbl v =
+      Hashtbl.replace tbl name
+        (v +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
     in
-    List.filter
-      (fun (bw : Wire.block_writes) -> owner bw.bw_block <> q)
-      (List.rev (take n !known_log))
+    bump bytes_by_array actual;
+    bump bytes_full_by_array full
   in
   let prepare_payload q ~sync =
-    let payload, accounts =
-      Policy.prepare sender ~peer:q ~sync (fresh_entries q)
-    in
+    let start = tel_now () in
+    let payload, accounts = Policy.prepare stamps ~peer:q ~sync in
     let bytes = ref 0.0 in
     List.iter
       (fun (name, actual, full) ->
         bytes := !bytes +. actual;
-        let bump tbl v =
-          Hashtbl.replace tbl name
-            (v +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-        in
-        bump bytes_by_array actual;
-        bump bytes_full_by_array full)
+        account name ~actual ~full)
       accounts;
+    tel_span ~category:Orion_obs.Trace.Marshal
+      ~label:(Printf.sprintf "encode->%d" q)
+      ~bytes:!bytes ~start;
     (payload, !bytes)
   in
   (* -- live partition migration (adaptive re-planning) ---------------
-     At a pass barrier all journal traffic for the finished pass has
-     been applied, so each rank's locally-partitioned regions are
+     At a pass barrier every rank holds the same value and stamp for
+     each element written so far, and next-pass payloads from faster
+     peers are deferred, so each rank's locally-partitioned regions are
      authoritative.  Ownership follows the space cut: entries moving
      from this rank's old region into peer [q]'s new region ship to
      [q]; a shipment goes to {e every} peer (possibly empty) because
-     arrival itself is the synchronization.  Early next-pass tokens
-     from faster peers only carry writes of non-locally-partitioned
-     arrays, so applying shipments after them cannot lose a write. *)
+     arrival itself is the synchronization.  Shipments are applied to
+     the arrays directly, not through the stamps: written elements
+     arrive with the value (and version) the receiver already holds,
+     and the rest with their initial value, which no stamp covers. *)
   let migrate ~pass ~new_boundaries ~fingerprint =
     let old_boundaries = !sched.Schedule.space_boundaries in
     let migrating =
@@ -556,24 +470,15 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                 arr)
             migrating
         in
+        (* migration ships raw partitions — actual = full *)
         let bytes =
           List.fold_left
-            (fun acc part ->
-              acc +. float_of_int (Dist_array.partition_size_bytes part))
+            (fun acc (part : Wire.part) ->
+              let b = float_of_int (Dist_array.partition_size_bytes part) in
+              account part.Dist_array.pt_array ~actual:b ~full:b;
+              acc +. b)
             0.0 parts
         in
-        List.iter
-          (fun (part : Wire.part) ->
-            let name = part.Dist_array.pt_array in
-            let b = float_of_int (Dist_array.partition_size_bytes part) in
-            let bump tbl =
-              Hashtbl.replace tbl name
-                (b +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0)
-            in
-            (* migration ships raw partitions — actual = full *)
-            bump bytes_by_array;
-            bump bytes_full_by_array)
-          parts;
         let send_start = tel_now () in
         send_peer q
           (Wire.Repart_ship { rs_pass = pass; rs_rank = rank; rs_parts = parts });
@@ -595,16 +500,14 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       ~bytes:0.0 ~start:wait_start;
     for q = 0 to sp - 1 do
       if q <> rank then
-        List.iter
-          (fun (part : Wire.part) ->
-            match Hashtbl.find_opt arr_tbl part.Dist_array.pt_array with
-            | Some a -> Dist_array.apply_partition a part
-            | None ->
-                fail "repartition ship for unknown array %S"
-                  part.Dist_array.pt_array)
+        apply_parts "repartition ship"
           (Option.value (Hashtbl.find_opt reparts (pass, q)) ~default:[])
     done;
-    let ns = rebuild_schedule new_boundaries in
+    let ns =
+      match rebuild_schedule plan inst ~tp new_boundaries with
+      | Some ns -> ns
+      | None -> fail "repartition is unsupported for unimodular schedules"
+    in
     if ns.Schedule.space_parts <> sp || ns.Schedule.time_parts <> tp then
       fail "re-planned schedule changed shape: %dx%d, expected %dx%d"
         ns.Schedule.space_parts ns.Schedule.time_parts sp tp;
@@ -621,13 +524,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     (* refresh the policy's per-array stats once per pass (not per
        token): density decides the packed key encoding, and the
        per-pass byte budget resets here *)
-    Policy.note_pass sender
-      (List.filter_map
-         (fun (n, a) ->
-           if List.mem n buffered then None else Some (n, Dist_array.stats a))
-         arrays);
-    Array.iter
-      (fun (s, t) ->
+    Policy.note_pass stamps;
+    cur_pass := pass;
+    Array.iteri
+      (fun pos (s, t) ->
         if s = rank then begin
           let blk = (s * tp) + t in
           (match abort with
@@ -647,8 +547,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
             (Printf.sprintf "tokens for block %d of pass %d" blk pass);
           tel_span ~category:Orion_obs.Trace.Idle ~label:"wait-tokens"
             ~bytes:0.0 ~start:wait_start;
-          current := [];
-          cur_version := (pass, pos blk);
+          absorb ();
+          Policy.begin_block stamps ~pass ~pos;
           let b = !sched.Schedule.blocks.(s).(t) in
           let blk_start = tel_now () in
           Array.iter
@@ -661,17 +561,6 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
               ~start:blk_start ~finish:(tel_now ())
               ~entries:(Array.length b.Schedule.entries);
           incr blocks_done;
-          Hashtbl.replace known (pass, blk) ();
-          let bw =
-            {
-              Wire.bw_pass = pass;
-              bw_block = blk;
-              bw_writes = Array.of_list (List.rev !current);
-            }
-          in
-          own := bw :: !own;
-          known_log := bw :: !known_log;
-          incr klen;
           match Hashtbl.find_opt outgoing blk with
           | None -> ()
           | Some dsts ->
@@ -686,7 +575,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                          rt_pass = pass;
                          rt_src = blk;
                          rt_dst = dst;
-                         rt_entries = payload;
+                         rt_payload = payload;
                        });
                   tel_span ~category:Orion_obs.Trace.Transfer
                     ~label:(Printf.sprintf "token->%d" q)
@@ -694,7 +583,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
                 (List.sort_uniq compare dsts)
         end)
       order;
-    (* pass barrier: flush the journal all-to-all so pass + 1 starts
+    (* pass barrier: flush the stamps all-to-all so pass + 1 starts
        from globally consistent DistArray state *)
     for q = 0 to sp - 1 do
       if q <> rank then begin
@@ -705,7 +594,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
         let send_start = tel_now () in
         send_peer q
           (Wire.Pass_sync
-             { ps_pass = pass; ps_rank = rank; ps_entries = payload });
+             { ps_pass = pass; ps_rank = rank; ps_payload = payload });
         tel_span ~category:Orion_obs.Trace.Transfer
           ~label:(Printf.sprintf "sync->%d" q)
           ~bytes ~start:send_start
@@ -722,6 +611,8 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
       (Printf.sprintf "pass %d barrier" pass);
     tel_span ~category:Orion_obs.Trace.Barrier_wait ~label:"pass-sync"
       ~bytes:0.0 ~start:barrier_start;
+    absorb ();
+    Policy.settle stamps;
     (* ship this pass's telemetry shard to the master: spans on the
        worker's clock plus the absolute epoch the master aligns with *)
     if tel_on then begin
@@ -738,14 +629,11 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
              pt_costs = costs;
            })
     end;
-    (* ship the pass-boundary state for master-side checkpoints: this
-       pass's own writes plus the cumulative buffered shadows *)
+    (* ship the pass-boundary state for master-side checkpoints: the
+       elements this rank last wrote in this pass plus the cumulative
+       buffered shadows *)
     if p.p_report_passes then begin
-      let entries =
-        List.filter
-          (fun (bw : Wire.block_writes) -> bw.bw_pass = pass)
-          (List.rev !own)
-      in
+      let owned = Policy.encode_parts comms (Policy.owned_parts ~pass stamps) in
       let parts =
         List.map
           (fun (_, shadow) ->
@@ -757,7 +645,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
            {
              pp_rank = rank;
              pp_pass = pass;
-             pp_entries = entries;
+             pp_parts = owned;
              pp_buffered = parts;
            })
     end;
@@ -786,8 +674,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
   Option.iter Orion.Compile.flush_locals kernel;
   let wall = Orion_obs.Clock.elapsed t0 in
   (* -- final reports ------------------------------------------------ *)
-  Transport.send master
-    (Wire.Block_report { br_rank = rank; br_entries = List.rev !own });
+  (* every rank holds the same state after the last barrier: each ships
+     the elements whose last writer it owns, O(model) in all *)
+  let final = Policy.encode_parts comms (Policy.owned_parts stamps) in
+  Transport.send master (Wire.Final_state { fs_rank = rank; fs_parts = final });
   let flush_parts, totals =
     List.fold_left
       (fun (parts, totals) (name, shadow) ->
@@ -823,7 +713,7 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
          ws_bytes_sent = bytes_sent;
          ws_bytes_by_array = sorted_bindings bytes_by_array;
          ws_bytes_full_by_array = sorted_bindings bytes_full_by_array;
-         ws_policy_by_array = Policy.decisions sender;
+         ws_policy_by_array = Policy.decisions stamps;
        });
   (* keep peer connections open until the master confirms every worker
      is done — closing earlier would surface as a peer failure there *)

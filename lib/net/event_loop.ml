@@ -19,16 +19,21 @@ let remove t conn =
 let conns t = t.items
 
 (** Wait up to [timeout] seconds, then drain one message from every
-    readable connection.  Returns [[]] on timeout or an empty set. *)
-let poll (t : 'a t) ~(timeout : float) : 'a event list =
+    readable connection.  Returns [[]] on timeout or an empty set.
+    With [writable], the wait also ends as soon as that connection can
+    take more bytes, so a sender blocked on a full socket buffer
+    resumes the moment its peer reads instead of sleeping out the
+    timeout. *)
+let poll ?writable (t : 'a t) ~(timeout : float) : 'a event list =
+  let wfds = Option.fold ~none:[] ~some:(fun c -> [ Transport.fd c ]) writable in
   match t.items with
-  | [] ->
+  | [] when wfds = [] ->
       if timeout > 0.0 then Unix.sleepf timeout;
       []
   | items ->
       let fds = List.map (fun (_, c) -> Transport.fd c) items in
       let readable =
-        match Unix.select fds [] [] timeout with
+        match Unix.select fds wfds [] timeout with
         | r, _, _ -> r
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
       in

@@ -5,8 +5,8 @@
     so round trips are bitwise):
 
     {v
-    entries  := ngroups group*
-    group    := namelen name pass block nwrites keymode keys valmode values
+    triples  := narrays group*
+    group    := namelen name n keymode keys valmode values version*
     part     := namelen name ndims dim* default sparse keymode nentries
                 keys valmode values
     keys     := k0 delta*                     (keymode 0: sparse)
@@ -93,26 +93,13 @@ let get_varint bytes pos =
   done;
   !n
 
-let put_float buf v =
-  let bits = Int64.bits_of_float v in
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
+let put_float buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
 let get_float bytes pos =
   if !pos + 8 > Bytes.length bytes then failwith "Policy: truncated float";
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits
-        (Int64.shift_left
-           (Int64.of_int (Char.code (Bytes.get bytes (!pos + i))))
-           (8 * i))
-  done;
+  let v = Int64.float_of_bits (Bytes.get_int64_le bytes !pos) in
   pos := !pos + 8;
-  Int64.float_of_bits !bits
+  v
 
 let put_string buf s =
   put_varint buf (String.length s);
@@ -140,22 +127,23 @@ let put_keys buf ~(mode : [ `Sparse | `Dense ]) (keys : int array) =
   | `Dense ->
       (* runs of consecutive keys: (gap from previous run's end, length) *)
       Buffer.add_char buf '\001';
-      let runs = ref [] in
-      Array.iter
-        (fun k ->
-          match !runs with
-          | (start, len) :: tl when k = start + len -> runs := (start, len + 1) :: tl
-          | _ -> runs := (k, 1) :: !runs)
+      let n = Array.length keys in
+      let nruns = ref 0 in
+      Array.iteri
+        (fun i k -> if i = 0 || k <> keys.(i - 1) + 1 then incr nruns)
         keys;
-      let runs = List.rev !runs in
-      put_varint buf (List.length runs);
-      let prev_end = ref (-1) in
-      List.iter
-        (fun (start, len) ->
-          put_varint buf (start - !prev_end - 1);
-          put_varint buf len;
-          prev_end := start + len - 1)
-        runs
+      put_varint buf !nruns;
+      let prev_end = ref (-1) and i = ref 0 in
+      while !i < n do
+        let j = ref (!i + 1) in
+        while !j < n && keys.(!j) = keys.(!j - 1) + 1 do
+          incr j
+        done;
+        put_varint buf (keys.(!i) - !prev_end - 1);
+        put_varint buf (!j - !i);
+        prev_end := keys.(!j - 1);
+        i := !j
+      done
 
 let get_keys bytes pos ~n =
   match Char.code (Bytes.get bytes !pos) with
@@ -192,26 +180,36 @@ let get_keys bytes pos ~n =
 (* Raw or RLE, whichever is smaller for these values. *)
 let put_values buf (values : float array) =
   let n = Array.length values in
-  let runs = ref [] in
-  Array.iter
-    (fun v ->
-      match !runs with
-      | (v0, c) :: tl when Int64.bits_of_float v0 = Int64.bits_of_float v ->
-          runs := (v0, c + 1) :: tl
-      | _ -> runs := (v, 1) :: !runs)
-    values;
-  let runs = List.rev !runs in
-  let rle_size =
-    List.fold_left (fun acc (_, c) -> acc + varint_len c + 8) (varint_len (List.length runs)) runs
+  let same i =
+    Int64.equal
+      (Int64.bits_of_float values.(i))
+      (Int64.bits_of_float values.(i - 1))
   in
-  if rle_size < n * 8 then begin
+  (* the end of the run starting at [i] *)
+  let run_end i =
+    let j = ref (i + 1) in
+    while !j < n && same !j do
+      incr j
+    done;
+    !j
+  in
+  let nruns = ref 0 and rle_size = ref 0 and i = ref 0 in
+  while !i < n do
+    let j = run_end !i in
+    incr nruns;
+    rle_size := !rle_size + varint_len (j - !i) + 8;
+    i := j
+  done;
+  if varint_len !nruns + !rle_size < n * 8 then begin
     Buffer.add_char buf '\001';
-    put_varint buf (List.length runs);
-    List.iter
-      (fun (v, c) ->
-        put_varint buf c;
-        put_float buf v)
-      runs
+    put_varint buf !nruns;
+    let i = ref 0 in
+    while !i < n do
+      let j = run_end !i in
+      put_varint buf (j - !i);
+      put_float buf values.(!i);
+      i := j
+    done
   end
   else begin
     Buffer.add_char buf '\000';
@@ -295,26 +293,27 @@ let part_mode (p : Wire.part) : [ `Sparse | `Dense ] =
   then `Dense
   else `Sparse
 
+let encode_parts spec (parts : Wire.part list) : Wire.part_payload list =
+  List.map
+    (fun p ->
+      if spec = Full then Wire.Part p
+      else Wire.Packed_part (encode_part ~mode:(part_mode p) p))
+    parts
+
+let payload_bytes = function
+  | Wire.Part p -> float_of_int (Dist_array.partition_size_bytes p)
+  | Wire.Packed_part b -> float_of_int (Bytes.length b)
+
 let prepare_parts spec (parts : Wire.part list) :
     Wire.part_payload list * (string * float * float) list =
-  let accounts = ref [] in
-  let payloads =
-    List.map
-      (fun (p : Wire.part) ->
-        let full = float_of_int (Dist_array.partition_size_bytes p) in
-        match spec with
-        | Full ->
-            accounts := (p.Dist_array.pt_array, full, full) :: !accounts;
-            Wire.Part p
-        | Auto | Delta | Topk _ | Budget _ ->
-            let b = encode_part ~mode:(part_mode p) p in
-            accounts :=
-              (p.Dist_array.pt_array, float_of_int (Bytes.length b), full)
-              :: !accounts;
-            Wire.Packed_part b)
-      parts
-  in
-  (payloads, List.rev !accounts)
+  let payloads = encode_parts spec parts in
+  ( payloads,
+    List.map2
+      (fun (p : Wire.part) payload ->
+        ( p.Dist_array.pt_array,
+          payload_bytes payload,
+          float_of_int (Dist_array.partition_size_bytes p) ))
+      parts payloads )
 
 let decode_parts (payloads : Wire.part_payload list) : Wire.part list =
   List.map
@@ -322,349 +321,432 @@ let decode_parts (payloads : Wire.part_payload list) : Wire.part list =
     payloads
 
 (* ------------------------------------------------------------------ *)
-(* Journal-entry codec                                                 *)
+(* Dirty-element stamps                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One encode group: the deduplicated writes of one (pass, block) to
-   one array, ascending by linearized key. *)
-type group = {
-  g_array : string;
-  g_pass : int;
-  g_block : int;
-  g_keys : int array;  (** linearized, ascending *)
-  g_values : float array;
+(* One managed DistArray's stamps, indexed by slot: the linearized key
+   itself for dense storage; for sparse storage one slot per stored key
+   (ascending) plus one per key inserted later, so stamps grow with the
+   stored elements rather than with the key space. *)
+type table = {
+  t_arr : float Dist_array.t;
+  t_slots : (int, int) Hashtbl.t option;  (** sparse: lin -> slot *)
+  mutable t_lins : int array;  (** sparse: slot -> lin *)
+  mutable t_ordered : bool;  (** ascending slots have ascending keys *)
+  mutable t_ver : int array;
+      (** last writer, [pass * blocks + natural-order position]; -1
+          while the element holds its initial value *)
+  mutable t_seen : int array;
+      (** the local sequence number at which this worker learned the
+          element's current value *)
+  mutable t_dirty : int array;  (** every slot with [seen > floor], once *)
+  mutable t_ndirty : int;
+  mutable t_mode : [ `Sparse | `Dense ];  (** key encoding, per pass *)
 }
 
-let encode_groups ~(mode_for : string -> [ `Sparse | `Dense ])
-    (groups : group list) : bytes * (string * float) list =
-  let buf = Buffer.create 512 in
-  put_varint buf (List.length groups);
-  let per_array = Hashtbl.create 8 in
-  List.iter
-    (fun g ->
-      let before = Buffer.length buf in
-      put_string buf g.g_array;
-      put_varint buf g.g_pass;
-      put_varint buf g.g_block;
-      put_varint buf (Array.length g.g_keys);
-      put_keys buf ~mode:(mode_for g.g_array) g.g_keys;
-      put_values buf g.g_values;
-      let sz = float_of_int (Buffer.length buf - before) in
-      Hashtbl.replace per_array g.g_array
-        (sz +. Option.value (Hashtbl.find_opt per_array g.g_array) ~default:0.0))
-    groups;
-  ( Buffer.to_bytes buf,
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_array []) )
-
-let decode_groups ~(delinearize : string -> int -> int array) (b : bytes) :
-    Wire.block_writes list =
-  let pos = ref 0 in
-  let ngroups = get_varint b pos in
-  let groups =
-    List.init ngroups (fun _ ->
-        let name = get_string b pos in
-        let pass = get_varint b pos in
-        let block = get_varint b pos in
-        let n = get_varint b pos in
-        let keys = if n = 0 then [||] else get_keys b pos ~n in
-        let values = if n = 0 then [||] else get_values b pos ~n in
-        let writes =
-          Array.init n (fun i ->
-              {
-                Wire.w_array = name;
-                w_key = delinearize name keys.(i);
-                w_value = values.(i);
-              })
-        in
-        (pass, block, writes))
-  in
-  (* merge adjacent groups of the same (pass, block) — the encoder
-     emits one group per array, but the receiver must see one
-     [block_writes] per block so relay (keyed by block) stays whole *)
-  List.fold_left
-    (fun acc (pass, block, writes) ->
-      match acc with
-      | { Wire.bw_pass; bw_block; bw_writes } :: tl
-        when bw_pass = pass && bw_block = block ->
-          { Wire.bw_pass; bw_block; bw_writes = Array.append bw_writes writes }
-          :: tl
-      | _ -> { Wire.bw_pass = pass; bw_block = block; bw_writes = writes } :: acc)
-    [] groups
-  |> List.rev
-
-let decode_entries ~delinearize = function
-  | Wire.Entries l -> l
-  | Wire.Packed_entries b -> decode_groups ~delinearize b
-
-(* ------------------------------------------------------------------ *)
-(* The sender: dedup, ranking, residual carryover, budgets             *)
-(* ------------------------------------------------------------------ *)
-
-(* A deduplicated candidate write. *)
-type cand = {
-  c_array : string;
-  c_lin : int;
-  c_value : float;
-  c_pass : int;
-  c_block : int;
-  c_vpos : int;  (** natural-order position of [c_block] *)
-}
-
-type sender = {
+type stamps = {
   s_spec : spec;
-  s_linearize : string -> int array -> int;
-  s_pos : int -> int;
-  (* per-peer: last value shipped per (array, linearized key) — the
-     baseline the top-k magnitude ranking measures change against *)
-  s_shipped : (string * int, float) Hashtbl.t array;
-  (* per-peer suppressed residuals, merged into the next send *)
-  s_residuals : (string * int, cand) Hashtbl.t array;
-  (* per-array key-encoding decision, refreshed once per pass *)
-  s_modes : (string, [ `Sparse | `Dense ]) Hashtbl.t;
-  mutable s_budget_left : float;  (** per-pass, [Budget] only *)
+  s_rank : int;
+  s_owners : int array;  (** natural-order position -> owning rank *)
+  s_tables : table array;
+  s_names : (string, int) Hashtbl.t;
+  s_cursor : int array;
+      (** per peer: the sequence number of the last payload prepared
+          for it, which offered every element seen up to then ([max_int]
+          for this rank itself) *)
+  mutable s_seq : int;
+  mutable s_floor : int;  (** the smallest peer cursor *)
+  mutable s_ver : int;  (** the version local writes are stamped with *)
+  s_shipped : (int * int, float) Hashtbl.t array;
+      (** lossy policies, per peer: last value shipped per (table,
+          slot) — the ranking baseline *)
+  s_residuals : (int * int, unit) Hashtbl.t array;
+      (** lossy policies, per peer: suppressed (table, slot)s, offered
+          again at their current value with the next payload *)
+  mutable s_budget_left : float;  (** per pass, [Budget] only *)
 }
 
-let sender spec ~peers ~linearize ~pos =
+let stamps spec ~rank ~peers ~owners arrays =
+  let table arr =
+    let sparse = Dist_array.is_sparse arr in
+    let lins = if sparse then Dist_array.sorted_keys arr else [||] in
+    let slots = Hashtbl.create (Array.length lins) in
+    Array.iteri (fun s lin -> Hashtbl.replace slots lin s) lins;
+    let n =
+      if sparse then max 16 (Array.length lins)
+      else Array.fold_left ( * ) 1 (Dist_array.dims arr)
+    in
+    {
+      t_arr = arr;
+      t_slots = (if sparse then Some slots else None);
+      t_lins = Array.append lins (Array.make (n - Array.length lins) 0);
+      t_ordered = true;
+      t_ver = Array.make n (-1);
+      t_seen = Array.make n 0;
+      t_dirty = Array.make 64 0;
+      t_ndirty = 0;
+      t_mode = `Sparse;
+    }
+  in
+  let tables = Array.of_list (List.map table arrays) in
+  let names = Hashtbl.create 8 in
+  Array.iteri
+    (fun i tb -> Hashtbl.replace names (Dist_array.name tb.t_arr) i)
+    tables;
   {
     s_spec = spec;
-    s_linearize = linearize;
-    s_pos = pos;
+    s_rank = rank;
+    s_owners = owners;
+    s_tables = tables;
+    s_names = names;
+    s_cursor = Array.init peers (fun q -> if q = rank then max_int else 0);
+    s_seq = 1;
+    s_floor = 0;
+    s_ver = 0;
     s_shipped = Array.init peers (fun _ -> Hashtbl.create 64);
     s_residuals = Array.init peers (fun _ -> Hashtbl.create 16);
-    s_modes = Hashtbl.create 8;
     s_budget_left = (match spec with Budget b -> b | _ -> infinity);
   }
 
+let owner st ver = st.s_owners.(ver mod Array.length st.s_owners)
+let lin_of tb s = match tb.t_slots with None -> s | Some _ -> tb.t_lins.(s)
+
+let nslots tb =
+  match tb.t_slots with
+  | None -> Array.length tb.t_ver
+  | Some h -> Hashtbl.length h
+
+(* Slots in ascending key order. *)
+let sort_slots tb (slots : int array) =
+  if not tb.t_ordered then
+    Array.stable_sort (fun a b -> Int.compare (lin_of tb a) (lin_of tb b)) slots
+  else Array.stable_sort Int.compare slots
+
+let slot tb lin =
+  match tb.t_slots with
+  | None -> lin
+  | Some h -> (
+      match Hashtbl.find h lin with
+      | s -> s
+      | exception Not_found ->
+          let s = Hashtbl.length h in
+          if s = Array.length tb.t_ver then begin
+            let grow a fill =
+              let b = Array.make (2 * s) fill in
+              Array.blit a 0 b 0 s;
+              b
+            in
+            tb.t_lins <- grow tb.t_lins 0;
+            tb.t_ver <- grow tb.t_ver (-1);
+            tb.t_seen <- grow tb.t_seen 0
+          end;
+          Hashtbl.replace h lin s;
+          tb.t_lins.(s) <- lin;
+          if s > 0 && tb.t_lins.(s - 1) > lin then tb.t_ordered <- false;
+          s)
+
+(* A slot is on the dirty list iff [seen > floor]: push it when it
+   crosses the floor, then stamp it with the current sequence number. *)
+let touch st tb s =
+  if tb.t_seen.(s) <= st.s_floor then begin
+    if tb.t_ndirty = Array.length tb.t_dirty then begin
+      let d = Array.make (2 * tb.t_ndirty) 0 in
+      Array.blit tb.t_dirty 0 d 0 tb.t_ndirty;
+      tb.t_dirty <- d
+    end;
+    tb.t_dirty.(tb.t_ndirty) <- s;
+    tb.t_ndirty <- tb.t_ndirty + 1
+  end;
+  tb.t_seen.(s) <- st.s_seq
+
+let externs st =
+  Array.to_list st.s_tables
+  |> List.map (fun tb ->
+         ( Dist_array.name tb.t_arr,
+           Dist_array.to_stamped_extern
+             ~stamp:(fun lin ->
+               let s = slot tb lin in
+               tb.t_ver.(s) <- st.s_ver;
+               touch st tb s)
+             tb.t_arr ))
+
+let begin_block st ~pass ~pos =
+  st.s_ver <- (pass * Array.length st.s_owners) + pos
+
+(* Drop the slots every peer has been offered; eager, so a slot that is
+   touched again after the floor passed it is pushed only once. *)
+let raise_floor st floor =
+  if floor > st.s_floor then begin
+    st.s_floor <- floor;
+    Array.iter
+      (fun tb ->
+        let k = ref 0 in
+        for i = 0 to tb.t_ndirty - 1 do
+          let s = tb.t_dirty.(i) in
+          if tb.t_seen.(s) > floor then begin
+            tb.t_dirty.(!k) <- s;
+            incr k
+          end
+        done;
+        tb.t_ndirty <- !k)
+      st.s_tables
+  end
+
+let settle st =
+  Array.iteri
+    (fun q _ -> if q <> st.s_rank then st.s_cursor.(q) <- st.s_seq)
+    st.s_cursor;
+  st.s_seq <- st.s_seq + 1;
+  raise_floor st (st.s_seq - 1)
+
+let note_pass st =
+  (match st.s_spec with Budget b -> st.s_budget_left <- b | _ -> ());
+  Array.iter
+    (fun tb ->
+      tb.t_mode <-
+        (match st.s_spec with
+        | Full | Delta -> `Sparse
+        | Auto | Topk _ | Budget _ ->
+            (* run-length keys pay off once most cells are populated;
+               index/value wins below that *)
+            if (Dist_array.stats tb.t_arr).Dist_array.st_density >= 0.5 then
+              `Dense
+            else `Sparse))
+    st.s_tables
+
 let mode_label = function `Sparse -> "sparse" | `Dense -> "dense"
 
-let spec_label = function
-  | Auto -> "delta"
-  | Full -> "full"
-  | Delta -> "delta"
-  | Topk _ -> "topk"
-  | Budget _ -> "budget"
-
-let note_pass s stats =
-  (match s.s_spec with
-  | Budget b -> s.s_budget_left <- b
-  | _ -> ());
-  match s.s_spec with
-  | Full ->
-      (* nothing to decide, but remember the array names so the
-         per-array policy report covers [full] runs too *)
-      List.iter
-        (fun (name, _) -> Hashtbl.replace s.s_modes name `Sparse)
-        stats
-  | Delta ->
-      (* fixed sparse index/value encoding for every array *)
-      List.iter
-        (fun (name, _) -> Hashtbl.replace s.s_modes name `Sparse)
-        stats
-  | Auto | Topk _ | Budget _ ->
-      (* density-driven: run-length keys pay off once most cells are
-         populated; index/value wins below that *)
-      List.iter
-        (fun (name, (st : Dist_array.stats)) ->
-          Hashtbl.replace s.s_modes name
-            (if st.Dist_array.st_density >= 0.5 then `Dense else `Sparse))
-        stats
-
-let decisions s =
-  let label mode =
-    match s.s_spec with
-    (* no encode decision under [full]; everything is Marshal *)
-    | Full -> spec_label s.s_spec
-    | _ -> spec_label s.s_spec ^ "+" ^ mode_label mode
+let decisions st =
+  let policy =
+    match st.s_spec with
+    | Full -> "full"
+    | Auto | Delta -> "delta"
+    | Topk _ -> "topk"
+    | Budget _ -> "budget"
   in
-  Hashtbl.fold (fun name mode acc -> (name, label mode) :: acc) s.s_modes []
+  Array.to_list st.s_tables
+  |> List.map (fun tb ->
+         ( Dist_array.name tb.t_arr,
+           if st.s_spec = Full then policy
+           else policy ^ "+" ^ mode_label tb.t_mode ))
   |> List.sort compare
 
-let mode_for s name =
-  Option.value (Hashtbl.find_opt s.s_modes name) ~default:`Sparse
+(* ------------------------------------------------------------------ *)
+(* Stamp payloads: selection, encoding, last-writer-wins application   *)
+(* ------------------------------------------------------------------ *)
 
-(* The [full] policy's cost of one write: the per-write Marshal size
-   the v3 runtime charged (and still charges under [full]). *)
-let full_write_bytes (w : Wire.write) =
-  float_of_int (Bytes.length (Marshal.to_bytes (w.w_key, w.w_value) []))
+(* The raw cost of one triple: an 8-byte key, value and version. *)
+let triple_bytes = 24
 
-let full_bytes_by_array (entries : Wire.block_writes list) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (bw : Wire.block_writes) ->
-      Array.iter
-        (fun (w : Wire.write) ->
-          Hashtbl.replace tbl w.Wire.w_array
-            (full_write_bytes w
-            +. Option.value (Hashtbl.find_opt tbl w.Wire.w_array) ~default:0.0))
-        bw.bw_writes)
-    entries;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-(* Estimated packed cost of one candidate, used by the budget
-   admission check (the exact size is only known after encoding). *)
-let est_cand_bytes (c : cand) = float_of_int (varint_len c.c_lin + 9)
-
-let prepare s ~peer ~sync (entries : Wire.block_writes list) :
-    Wire.entries_payload * (string * float * float) list =
-  let full = full_bytes_by_array entries in
-  match s.s_spec with
-  | Full ->
-      (Wire.Entries entries, List.map (fun (n, b) -> (n, b, b)) full)
-  | _ ->
-      (* -- dedup to the newest write per (array, element) ----------- *)
-      let cands : (string * int, cand) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (bw : Wire.block_writes) ->
-          Array.iter
-            (fun (w : Wire.write) ->
-              let lin = s.s_linearize w.Wire.w_array w.Wire.w_key in
-              let c =
-                {
-                  c_array = w.Wire.w_array;
-                  c_lin = lin;
-                  c_value = w.Wire.w_value;
-                  c_pass = bw.bw_pass;
-                  c_block = bw.bw_block;
-                  c_vpos = s.s_pos bw.bw_block;
-                }
-              in
-              match Hashtbl.find_opt cands (c.c_array, lin) with
-              | Some prev
-                when (prev.c_pass, prev.c_vpos) > (c.c_pass, c.c_vpos) ->
-                  ()
-              | _ -> Hashtbl.replace cands (c.c_array, lin) c)
-            bw.bw_writes)
-        entries;
-      (* -- fold in this peer's residuals at the pass barrier -------- *)
-      let residuals = s.s_residuals.(peer) in
-      if sync then begin
-        Hashtbl.iter
-          (fun key (r : cand) ->
-            match Hashtbl.find_opt cands key with
-            | Some c when (c.c_pass, c.c_vpos) >= (r.c_pass, r.c_vpos) -> ()
-            | _ -> Hashtbl.replace cands key r)
-          residuals;
-        Hashtbl.reset residuals
-      end;
-      let all = Hashtbl.fold (fun _ c acc -> c :: acc) cands [] in
-      (* -- rank and select under the policy ------------------------- *)
-      let shipped = s.s_shipped.(peer) in
-      let kept, suppressed =
-        let lossless l = (l, []) in
-        if sync then lossless all
-        else
-          match s.s_spec with
-          | Full | Auto | Delta -> lossless all
-          | Topk k ->
-              let ranked =
-                List.sort
-                  (fun a b ->
-                    let mag c =
-                      match Hashtbl.find_opt shipped (c.c_array, c.c_lin) with
-                      | Some prev -> Float.abs (c.c_value -. prev)
-                      | None -> Float.abs c.c_value
-                    in
-                    compare
-                      (-.mag a, a.c_array, a.c_lin)
-                      (-.mag b, b.c_array, b.c_lin))
-                  all
-              in
-              let rec split i acc = function
-                | [] -> (List.rev acc, [])
-                | l when i >= k -> (List.rev acc, l)
-                | c :: tl -> split (i + 1) (c :: acc) tl
-              in
-              split 0 [] ranked
-          | Budget _ ->
-              let ranked =
-                List.sort
-                  (fun a b ->
-                    let mag c =
-                      match Hashtbl.find_opt shipped (c.c_array, c.c_lin) with
-                      | Some prev -> Float.abs (c.c_value -. prev)
-                      | None -> Float.abs c.c_value
-                    in
-                    compare
-                      (-.mag a, a.c_array, a.c_lin)
-                      (-.mag b, b.c_array, b.c_lin))
-                  all
-              in
-              let kept = ref [] and dropped = ref [] in
-              List.iter
-                (fun c ->
-                  let cost = est_cand_bytes c in
-                  if cost <= s.s_budget_left then begin
-                    s.s_budget_left <- s.s_budget_left -. cost;
-                    kept := c :: !kept
-                  end
-                  else dropped := c :: !dropped)
-                ranked;
-              (List.rev !kept, List.rev !dropped)
-      in
-      (* -- carry suppressed writes as residuals; note kept ones ----- *)
-      List.iter
-        (fun (c : cand) ->
-          let key = (c.c_array, c.c_lin) in
-          match Hashtbl.find_opt residuals key with
-          | Some prev when (prev.c_pass, prev.c_vpos) > (c.c_pass, c.c_vpos) ->
-              ()
-          | _ -> Hashtbl.replace residuals key c)
-        suppressed;
-      List.iter
-        (fun (c : cand) ->
-          let key = (c.c_array, c.c_lin) in
-          Hashtbl.replace shipped key c.c_value;
-          (* a kept write supersedes any older residual for the cell *)
-          match Hashtbl.find_opt residuals key with
-          | Some prev when (c.c_pass, c.c_vpos) >= (prev.c_pass, prev.c_vpos)
-            ->
-              Hashtbl.remove residuals key
-          | _ -> ())
-        kept;
-      (* -- group by (pass, block, array), ascending ----------------- *)
-      let sorted =
-        List.sort
-          (fun a b ->
-            compare
-              (a.c_pass, a.c_vpos, a.c_array, a.c_lin)
-              (b.c_pass, b.c_vpos, b.c_array, b.c_lin))
-          kept
-      in
-      let groups =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | (p, blk, name, cs) :: tl
-              when p = c.c_pass && blk = c.c_block && name = c.c_array ->
-                (p, blk, name, c :: cs) :: tl
-            | _ -> (c.c_pass, c.c_block, c.c_array, [ c ]) :: acc)
-          [] sorted
-        |> List.rev_map (fun (p, blk, name, cs) ->
-               let cs = Array.of_list (List.rev cs) in
-               {
-                 g_array = name;
-                 g_pass = p;
-                 g_block = blk;
-                 g_keys = Array.map (fun c -> c.c_lin) cs;
-                 g_values = Array.map (fun c -> c.c_value) cs;
-               })
-        |> List.rev
-      in
-      let bytes, per_array = encode_groups ~mode_for:(mode_for s) groups in
-      let actual name =
-        Option.value (List.assoc_opt name per_array) ~default:0.0
-      in
-      (* every array that had traffic (kept or not) appears in the
-         accounting, so the full-policy baseline stays comparable *)
-      let names =
-        List.sort_uniq compare
-          (List.map fst full @ List.map fst per_array)
-      in
-      let accounts =
+(* Lossy policies: rank this payload's candidates plus the residuals
+   held for [peer] by change since the value last shipped to it, keep
+   the top K (or what fits the pass budget) and hold the rest back.  A
+   pass sync keeps everything. *)
+let select st ~peer ~sync fresh =
+  let residuals = st.s_residuals.(peer) and shipped = st.s_shipped.(peer) in
+  let cands = Hashtbl.create 64 in
+  Array.iteri
+    (fun ti -> Array.iter (fun s -> Hashtbl.replace cands (ti, s) ()))
+    fresh;
+  Hashtbl.iter
+    (fun ((ti, s) as k) () ->
+      if owner st st.s_tables.(ti).t_ver.(s) <> peer then
+        Hashtbl.replace cands k ())
+    residuals;
+  Hashtbl.reset residuals;
+  let value (ti, s) =
+    let tb = st.s_tables.(ti) in
+    Dist_array.get_lin tb.t_arr (lin_of tb s)
+  in
+  let all = Hashtbl.fold (fun k () acc -> k :: acc) cands [] in
+  let kept =
+    if sync then all
+    else
+      let ranked =
         List.map
-          (fun n ->
-            (n, actual n, Option.value (List.assoc_opt n full) ~default:0.0))
-          names
+          (fun ((ti, s) as k) ->
+            let v = value k in
+            let mag =
+              match Hashtbl.find_opt shipped k with
+              | Some prev -> Float.abs (v -. prev)
+              | None -> Float.abs v
+            in
+            ((-.mag, ti, lin_of st.s_tables.(ti) s), k))
+          all
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
       in
-      (Wire.Packed_entries bytes, accounts)
+      List.filteri
+        (fun i ((ti, s) as k) ->
+          let keep =
+            match st.s_spec with
+            | Topk n -> i < n
+            | Budget _ ->
+                let tb = st.s_tables.(ti) in
+                let cost =
+                  float_of_int
+                    (varint_len (lin_of tb s) + varint_len tb.t_ver.(s) + 8)
+                in
+                cost <= st.s_budget_left
+                && begin
+                     st.s_budget_left <- st.s_budget_left -. cost;
+                     true
+                   end
+            | Auto | Full | Delta -> true
+          in
+          if not keep then Hashtbl.replace residuals k ();
+          keep)
+        ranked
+  in
+  List.iter (fun k -> Hashtbl.replace shipped k (value k)) kept;
+  Array.mapi
+    (fun ti tb ->
+      let a =
+        Array.of_list
+          (List.filter_map (fun (t, s) -> if t = ti then Some s else None) kept)
+      in
+      sort_slots tb a;
+      a)
+    st.s_tables
+
+let triples_of tb slots : Wire.triples =
+  let keys = Array.map (lin_of tb) slots in
+  {
+    Wire.tr_array = Dist_array.name tb.t_arr;
+    tr_keys = keys;
+    tr_values = Array.map (Dist_array.get_lin tb.t_arr) keys;
+    tr_versions = Array.map (fun s -> tb.t_ver.(s)) slots;
+  }
+
+let encode_triples st (trs : Wire.triples list) =
+  let buf = Buffer.create 512 in
+  put_varint buf (List.length trs);
+  let sizes =
+    List.map
+      (fun (tr : Wire.triples) ->
+        let before = Buffer.length buf in
+        put_string buf tr.tr_array;
+        put_varint buf (Array.length tr.tr_keys);
+        put_keys buf
+          ~mode:st.s_tables.(Hashtbl.find st.s_names tr.tr_array).t_mode
+          tr.tr_keys;
+        put_values buf tr.tr_values;
+        Array.iter (put_varint buf) tr.tr_versions;
+        float_of_int (Buffer.length buf - before))
+      trs
+  in
+  (Buffer.to_bytes buf, sizes)
+
+let prepare st ~peer ~sync =
+  let cursor = st.s_cursor.(peer) in
+  let offered tb s = tb.t_seen.(s) > cursor && owner st tb.t_ver.(s) <> peer in
+  (* ascending slots: a scan of every slot when the dirty list is a
+     large share of them, else the dirty list, sorted *)
+  let fresh =
+    Array.map
+      (fun tb ->
+        let n = nslots tb and l = ref [] in
+        let scan = tb.t_ordered && tb.t_ndirty * 8 >= n in
+        for i = (if scan then n else tb.t_ndirty) - 1 downto 0 do
+          let s = if scan then i else tb.t_dirty.(i) in
+          if offered tb s then l := s :: !l
+        done;
+        let a = Array.of_list !l in
+        if not scan then sort_slots tb a;
+        a)
+      st.s_tables
+  in
+  let kept =
+    match st.s_spec with
+    | Auto | Full | Delta -> fresh
+    | Topk _ | Budget _ -> select st ~peer ~sync fresh
+  in
+  let trs =
+    List.filter_map
+      (fun (tb, slots) ->
+        if Array.length slots = 0 then None else Some (triples_of tb slots))
+      (List.combine (Array.to_list st.s_tables) (Array.to_list kept))
+  in
+  let raw (tr : Wire.triples) =
+    float_of_int (triple_bytes * Array.length tr.tr_keys)
+  in
+  let payload, actual =
+    match st.s_spec with
+    | Full -> (Wire.Triples trs, List.map raw trs)
+    | _ ->
+        let b, sizes = encode_triples st trs in
+        (Wire.Packed_triples b, sizes)
+  in
+  (* everything seen so far has now been offered to [peer] *)
+  st.s_cursor.(peer) <- st.s_seq;
+  st.s_seq <- st.s_seq + 1;
+  raise_floor st (Array.fold_left min max_int st.s_cursor);
+  ( payload,
+    List.map2
+      (fun (tr : Wire.triples) a -> (tr.tr_array, a, raw tr))
+      trs actual )
+
+let decode : Wire.payload -> Wire.triples list = function
+  | Wire.Triples trs -> trs
+  | Wire.Packed_triples b ->
+      let pos = ref 0 in
+      (* [List.init] and [Array.init] evaluate left to right *)
+      List.init (get_varint b pos) (fun _ ->
+          let tr_array = get_string b pos in
+          let n = get_varint b pos in
+          let tr_keys = get_keys b pos ~n in
+          let tr_values = get_values b pos ~n in
+          let tr_versions = Array.init n (fun _ -> get_varint b pos) in
+          { Wire.tr_array; tr_keys; tr_values; tr_versions })
+
+let apply st payload =
+  List.iter
+    (fun (tr : Wire.triples) ->
+      let tb =
+        try st.s_tables.(Hashtbl.find st.s_names tr.tr_array)
+        with Not_found ->
+          failwith ("Policy: payload for unknown array " ^ tr.tr_array)
+      in
+      (* last-writer-wins: all writers of one element are
+         happens-before-ordered and natural order linearizes
+         happens-before, so the larger version is the later write *)
+      Array.iteri
+        (fun i lin ->
+          let s = slot tb lin and ver = tr.tr_versions.(i) in
+          if ver > tb.t_ver.(s) then begin
+            Dist_array.set_lin tb.t_arr lin tr.tr_values.(i);
+            tb.t_ver.(s) <- ver;
+            touch st tb s
+          end)
+        tr.tr_keys)
+    (decode payload)
+
+let owned_parts ?pass st : Wire.part list =
+  let blocks = Array.length st.s_owners in
+  Array.to_list st.s_tables
+  |> List.filter_map (fun tb ->
+         let entries = ref [] in
+         for s = nslots tb - 1 downto 0 do
+           let v = tb.t_ver.(s) in
+           if
+             v >= 0
+             && owner st v = st.s_rank
+             && match pass with None -> true | Some p -> v / blocks = p
+           then
+             let lin = lin_of tb s in
+             entries := (lin, Dist_array.get_lin tb.t_arr lin) :: !entries
+         done;
+         if !entries = [] then None
+         else
+           let e = Array.of_list !entries in
+           if not tb.t_ordered then
+             Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) e;
+           let a = tb.t_arr in
+           Some
+             {
+               Dist_array.pt_array = Dist_array.name a;
+               pt_dims = Dist_array.dims a;
+               pt_default = a.Dist_array.default;
+               pt_sparse = Dist_array.is_sparse a;
+               pt_entries = e;
+             })

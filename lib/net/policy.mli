@@ -1,20 +1,24 @@
-(** Pluggable communication policies for the distributed runtime.
+(** Pluggable communication policies for the distributed runtime, and
+    the dirty-element stamps they filter and encode.
 
-    How rotation tokens, pass syncs, partition ships and prefetch
-    responses are encoded and filtered is a policy {e value}, selected
-    at runtime ([--comms], [ORION_COMMS]) and carried to every worker
-    in the {!Wire.plan} — not a format baked into the protocol:
+    Every worker stamps each element of a managed DistArray with its
+    last writer's version ([pass * blocks + natural-order position])
+    and with the local sequence number at which the worker learned its
+    current value ([seen]).  A payload for peer [q] offers every element
+    with [seen] past [q]'s cursor — own writes and relayed ones alike —
+    except those whose last writer [q] owns, as (linearized key, value,
+    version) triples; receivers apply them last-writer-wins by version.
+    How the offered triples are filtered and encoded is a policy
+    {e value}, selected at runtime ([--comms], [ORION_COMMS]) and
+    carried to every worker in the {!Wire.plan}:
 
-    - [full] — ship every journaled write, [Marshal]-encoded: the
-      v3-era behavior, and the byte-accounting baseline.
-    - [delta] — deduplicate each payload to the newest write per
-      (array, element) before encoding (receivers apply
-      last-writer-wins, so intermediate values are dead weight), and
-      use the packed codec below.  Bitwise-equal to [full]: the
-      receiver's post-payload state is identical.
-    - [topk:K] — [delta], then keep only the [K] writes with the
-      largest change since this peer last saw the element; the rest
-      become per-peer residuals merged into the next send (the
+    - [full] — ship every offered triple raw: the byte-accounting
+      baseline (24 bytes a triple).
+    - [delta] — the same triples through the packed codec below.
+      Bitwise-equal to [full].
+    - [topk:K] — [delta], then keep only the [K] elements with the
+      largest change since this peer last got them; the rest become
+      per-peer residuals offered again with the next payload (the
       Bösen-style managed-communication rule, promoted from the
       [lib/baselines] simulation to the real socket runtime).
     - [budget:BYTES] — [topk] under a per-worker per-pass byte budget
@@ -26,14 +30,12 @@
 
     Every policy flushes {e all} residuals in the {!Wire.Pass_sync}
     barrier, so pass boundaries are globally consistent and lossy
-    policies trade only mid-pass staleness for bandwidth.  Suppression
-    never loses final state: the master assembles results from each
-    worker's own-block journal, which is always exact.
+    policies trade only mid-pass staleness for bandwidth.
 
-    The packed codec is sparse index/value: per (array, pass, block)
-    group, ascending linearized keys as varint deltas (or run-length
-    ranges for dense arrays), IEEE float bits raw or run-length
-    encoded, whichever is smaller.  Decoding is exact (float bits are
+    The packed codec is sparse index/value: per array, ascending
+    linearized keys as varint deltas (or run-length ranges for dense
+    arrays), IEEE float bits raw or run-length encoded, whichever is
+    smaller, and varint versions.  Decoding is exact (float bits are
     preserved). *)
 
 module Dist_array = Orion_dsm.Dist_array
@@ -50,69 +52,84 @@ val spec_of_string : string -> (spec, string) result
 (** [spec_of_string] or [invalid_arg]. *)
 val spec_of_string_exn : string -> spec
 
-(** {1 Worker side: filtering + encoding journal traffic} *)
+(** {1 Worker side: dirty-element stamps} *)
 
-(** Per-worker sender state: per-peer last-shipped element values (the
-    ranking input), per-peer suppressed residuals, the per-pass byte
-    budget, and the per-array encode decisions. *)
-type sender
+(** One worker's stamps over its managed DistArrays, its per-peer
+    cursors, and the lossy policies' per-peer residuals. *)
+type stamps
 
-(** [linearize name key] maps a structured key of array [name] to its
-    row-major index (both ends of the wire rebuild identical arrays,
-    so indices agree); [pos blk] is the natural-order position of
-    block [blk], the version component last-writer-wins ordering uses. *)
-val sender :
+(** [stamps spec ~rank ~peers ~owners arrays]: [peers] counts every
+    rank (this one included); [owners.(pos)] is the rank owning the
+    block at natural-order position [pos] of a pass. *)
+val stamps :
   spec ->
+  rank:int ->
   peers:int ->
-  linearize:(string -> int array -> int) ->
-  pos:(int -> int) ->
-  sender
+  owners:int array ->
+  float Dist_array.t list ->
+  stamps
 
-(** Refresh the per-array encode decisions from stats sampled at a
-    pass boundary (once per pass, not per token) and reset the pass
-    byte budget. *)
-val note_pass : sender -> (string * Dist_array.stats) list -> unit
+(** Stamping externs ({!Dist_array.to_stamped_extern}) for every array,
+    by name, to bind in the environment the kernel is compiled in. *)
+val externs : stamps -> (string * Orion_lang.Value.extern) list
 
-(** The per-array encode decision labels settled on so far (for
-    reporting), sorted by array name. *)
-val decisions : sender -> (string * string) list
+(** Writes from now on carry the version of block [pos] of [pass]. *)
+val begin_block : stamps -> pass:int -> pos:int -> unit
 
-(** Filter + encode one payload for [peer].  Returns the wire payload
-    plus per-array (actual bytes as encoded, bytes the [full] policy
-    would have spent).  [sync] marks the pass-barrier flush: ranking
-    and budgets are bypassed and all residuals held for [peer] are
-    folded in and cleared. *)
+(** Refresh the per-array key encodings from array density (once per
+    pass, not per payload) and reset the pass byte budget. *)
+val note_pass : stamps -> unit
+
+(** The per-array encode decision labels, sorted by array name. *)
+val decisions : stamps -> (string * string) list
+
+(** The payload for [peer]: every element learned since the last
+    payload for it, minus those whose last writer [peer] owns, filtered
+    and encoded under the policy.  Advances [peer]'s cursor.  Returns
+    per-array (bytes as encoded, raw [full]-policy bytes).  [sync]
+    marks the pass-barrier flush: ranking and budgets are bypassed and
+    all residuals held for [peer] are folded in. *)
 val prepare :
-  sender ->
+  stamps ->
   peer:int ->
   sync:bool ->
-  Wire.block_writes list ->
-  Wire.entries_payload * (string * float * float) list
+  Wire.payload * (string * float * float) list
 
-(** {1 Receiver side} *)
+(** The triples a payload carries (exact float bits). *)
+val decode : Wire.payload -> Wire.triples list
 
-(** Decode a payload back to block write logs (groups in ascending
-    (pass, natural-order) order; exact float bits).  [delinearize name
-    lin] maps a row-major index of array [name] back to a structured
-    key. *)
-val decode_entries :
-  delinearize:(string -> int -> int array) ->
-  Wire.entries_payload ->
-  Wire.block_writes list
+(** Apply a peer's payload last-writer-wins; newly learned elements are
+    stamped [seen] for relay to other peers. *)
+val apply : stamps -> Wire.payload -> unit
 
-(** {1 Partition ships and prefetches (master side)} *)
+(** At a pass barrier, once every peer's sync has been applied: all
+    ranks hold the same state, so every cursor moves to now and the
+    dirty lists empty (the syncs already flushed every residual). *)
+val settle : stamps -> unit
+
+(** Current values of the elements whose last writer this rank owns —
+    written in [pass] only, or ever when [pass] is omitted — one
+    partition per array that has any. *)
+val owned_parts : ?pass:int -> stamps -> Wire.part list
+
+(** {1 Partitions: ships, prefetches, pass reports, the final gather} *)
 
 (** Encode partitions for the wire under [spec]: [full] ships raw
     [Marshal] partitions; every other policy uses the packed codec
-    with the key mode chosen per partition from its observed density.
-    Returns the payloads plus per-array (actual bytes, [full]-policy
-    bytes). *)
+    with the key mode chosen per partition from its observed density. *)
+val encode_parts : spec -> Wire.part list -> Wire.part_payload list
+
+(** {!encode_parts} plus per-array (actual bytes, [full]-policy bytes),
+    which costs a [Marshal] of every partition. *)
 val prepare_parts :
   spec ->
   Wire.part list ->
   Wire.part_payload list * (string * float * float) list
 
 val decode_parts : Wire.part_payload list -> Wire.part list
+
+(** Bytes of one encoded partition as it travels. *)
+val payload_bytes : Wire.part_payload -> float
 
 (** Exact packed-partition round trip building blocks (exposed for the
     QCheck codec properties). *)

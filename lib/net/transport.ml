@@ -49,7 +49,14 @@ let sockaddr_of_addr = function
   | `Tcp (host, port) ->
       Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
 
+(* Large enough for a typical token, pass-sync or pass-report frame,
+   so its sender hands it off and carries on instead of stalling until
+   the receiver next reads.  The kernel caps it at the host's limit. *)
+let send_buffer_bytes = 4 lsl 20
+
 let wrap fd =
+  (try Unix.setsockopt_int fd Unix.SO_SNDBUF send_buffer_bytes
+   with Unix.Unix_error _ -> ());
   {
     fd;
     bytes_out = 0.0;
@@ -132,7 +139,8 @@ let send (c : conn) (m : Wire.msg) =
     [drain] whenever the kernel buffer is full.  Two peers blocking in
     plain [send] to each other with both socket buffers full deadlock —
     neither ever reads; [drain] (which should pump the caller's event
-    loop) lets the opposite direction empty so both writes complete. *)
+    loop until [c] is writable again) lets the opposite direction empty
+    so both writes complete. *)
 let send_draining (c : conn) (m : Wire.msg) ~(drain : unit -> unit) =
   let payload = Wire.to_bytes m in
   let len = Bytes.length payload in

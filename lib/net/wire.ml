@@ -18,7 +18,7 @@
     worker → master   Pass_telemetry       (per-pass spans + block costs)
     master → worker   Continue | Repartition   (adaptive runs, per pass)
     worker ↔ worker   Repart_ship          (migrating partitions)
-    worker → master   Block_report, Buffer_flush, Acc_merge, Done
+    worker → master   Final_state, Buffer_flush, Acc_merge, Done
     master → worker   Shutdown
     any    → master   Fatal
     v} *)
@@ -35,27 +35,27 @@
        ([Continue] or [Repartition]); a [Repartition] re-balances the
        space cut from measured block costs, workers migrating
        locally-partitioned array regions peer-to-peer ([Repart_ship])
-       and re-verifying the rebuilt schedule by fingerprint *)
-let version = 5
+       and re-verifying the rebuilt schedule by fingerprint
+   v6: dirty-element stamps replace the per-write journal — tokens and
+       pass syncs carry (key, value, version) triples ([payload]);
+       [Pass_report] and [Final_state] (was [Block_report]) carry the
+       current values of the elements each rank last wrote *)
+let version = 6
 
-(** One journaled DistArray element write, in execution order. *)
-type write = { w_array : string; w_key : int array; w_value : float }
-
-(** The write log of one executed schedule block.  [bw_block] is the
-    block id [s * tp + t] — the same ids {!Orion_runtime.Domain_exec}
-    uses for its happens-before edges. *)
-type block_writes = {
-  bw_pass : int;
-  bw_block : int;
-  bw_writes : write array;
+(** The dirty elements of one DistArray as (linearized key, value,
+    version) triples, ascending by key.  A version is [pass * blocks +
+    natural-order position] of the element's last writer block. *)
+type triples = {
+  tr_array : string;
+  tr_keys : int array;
+  tr_values : float array;
+  tr_versions : int array;
 }
 
-(** Journal entries as a comms policy put them on the wire: either the
-    raw block logs ([Marshal]; the [full] policy) or the [Policy] codec
-    (deduplicated, sparse index/value, varint/RLE). *)
-type entries_payload =
-  | Entries of block_writes list
-  | Packed_entries of bytes
+(** Stamped elements as a comms policy puts them on the wire: raw
+    triples (the [full] policy) or the [Policy] packed codec
+    (sparse index/value, varint/RLE). *)
+type payload = Triples of triples list | Packed_triples of bytes
 
 type worker_stats = {
   ws_rank : int;
@@ -64,12 +64,11 @@ type worker_stats = {
   ws_wall_seconds : float;
   ws_bytes_sent : float;  (** wire bytes this worker sent to peers *)
   ws_bytes_by_array : (string * float) list;
-      (** journal bytes shipped to peers, per DistArray, as encoded by
-          the active comms policy *)
+      (** stamp payload bytes shipped to peers, per DistArray, as
+          encoded by the active comms policy *)
   ws_bytes_full_by_array : (string * float) list;
-      (** what the same journal traffic would have cost under the
-          [full] policy (per-write [Marshal]) — the before side of the
-          bytes-saved accounting *)
+      (** what the same triples cost raw (24 bytes each) — the before
+          side of the bytes-saved accounting *)
   ws_policy_by_array : (string * string) list;
       (** the per-DistArray encode decision the policy settled on *)
 }
@@ -130,19 +129,20 @@ type msg =
       rt_pass : int;
       rt_src : int;  (** source block id (just executed on the sender) *)
       rt_dst : int;  (** destination block id (waiting on the receiver) *)
-      rt_entries : entries_payload;
-          (** the sender's journal entries this receiver has not seen
-              yet (per-peer cursor; FIFO channels make the receiver's
-              knowledge happens-before-closed), encoded and possibly
+      rt_payload : payload;
+          (** every element the sender learned since its last payload
+              to this receiver (per-peer cursor; FIFO channels make the
+              receiver's knowledge happens-before-closed), minus those
+              whose last writer the receiver owns, encoded and possibly
               filtered by the active comms policy *)
     }
   | Pass_sync of {
       ps_pass : int;
       ps_rank : int;
-      ps_entries : entries_payload;
+      ps_payload : payload;
     }
       (** all-to-all barrier at the end of each pass, flushing the
-          remaining journal entries {e and} every residual the policy
+          remaining stamped elements {e and} every residual the policy
           suppressed mid-pass (pass boundaries are globally
           consistent under every policy) *)
   | Pass_telemetry of {
@@ -164,10 +164,11 @@ type msg =
   | Pass_report of {
       pp_rank : int;
       pp_pass : int;
-      pp_entries : block_writes list;
-          (** this worker's own-block write log for the pass just
-              finished (the master applies them in natural block
-              order, so checkpoints match an uninterrupted run) *)
+      pp_parts : part_payload list;
+          (** current values of the elements whose last writer in the
+              pass just finished is one of this worker's blocks (every
+              rank holds the same state after the barrier, so the
+              ranks' reports are disjoint and complete) *)
       pp_buffered : part list;
           (** the {e cumulative} nonzero entries of each buffered
               array's local shadow at this boundary (shadows persist
@@ -199,8 +200,9 @@ type msg =
               sender's old region into the receiver's new region (may
               be empty — arrival itself is the synchronization) *)
     }
-  | Block_report of { br_rank : int; br_entries : block_writes list }
-      (** the worker's complete own-block write log, all passes *)
+  | Final_state of { fs_rank : int; fs_parts : part_payload list }
+      (** current values of every element whose last writer is one of
+          this worker's blocks — O(model), not O(writes × passes) *)
   | Buffer_flush of { bf_rank : int; bf_parts : part list }
       (** nonzero entries of each buffered array's local shadow *)
   | Acc_merge of { am_rank : int; am_totals : (string * float) list }
@@ -226,7 +228,7 @@ let tag = function
   | Continue _ -> "continue"
   | Repartition _ -> "repartition"
   | Repart_ship _ -> "repart-ship"
-  | Block_report _ -> "block-report"
+  | Final_state _ -> "final-state"
   | Buffer_flush _ -> "buffer-flush"
   | Acc_merge _ -> "acc-merge"
   | Done _ -> "done"

@@ -168,16 +168,14 @@ let test_wire_roundtrip () =
           rt_pass = 1;
           rt_src = 5;
           rt_dst = 6;
-          rt_entries =
-            Orion_net.Wire.Entries
+          rt_payload =
+            Orion_net.Wire.Triples
               [
                 {
-                  bw_pass = 1;
-                  bw_block = 5;
-                  bw_writes =
-                    [|
-                      { w_array = "H"; w_key = [| 2; 3 |]; w_value = -0.125 };
-                    |];
+                  tr_array = "H";
+                  tr_keys = [| 2; 3 |];
+                  tr_values = [| -0.125; 4.0 |];
+                  tr_versions = [| 5; 7 |];
                 };
               ];
         };
@@ -185,7 +183,7 @@ let test_wire_roundtrip () =
         {
           ps_pass = 0;
           ps_rank = 1;
-          ps_entries = Orion_net.Wire.Packed_entries (Bytes.of_string "xyz");
+          ps_payload = Orion_net.Wire.Packed_triples (Bytes.of_string "xyz");
         };
       Orion_net.Wire.Shutdown;
     ]
@@ -224,164 +222,206 @@ let test_addr_roundtrip () =
 
 module Policy = Orion_net.Policy
 
-(* a fixed two-array model for the sender/receiver properties *)
-let pol_dims = [ ("W", [| 4; 5 |]); ("h", [| 16 |]) ]
+(* The stamp properties run a random multi-rank write history through
+   [Policy.stamps] without sockets.  One pass of [blocks] natural-order
+   positions, each owned by a random rank and writing a few elements of
+   one dense and one sparse array (the dense ones through the unboxed
+   fast path, the sparse ones through the boxed path).  After each
+   block its owner prepares a token for a random peer; in-flight
+   payloads are delivered in a shuffled order at random times, so
+   receivers relay what they learned; at the end every rank flushes a
+   pass sync to every peer and everything still in flight is delivered
+   in a shuffled order. *)
 
-let pol_lin name (key : int array) =
-  let dims = List.assoc name pol_dims in
-  let lin = ref 0 in
-  Array.iteri (fun i _ -> lin := (!lin * dims.(i)) + key.(i)) dims;
-  !lin
+type history = {
+  h_ranks : int;
+  h_owners : int array;  (** natural-order position -> rank *)
+  h_blocks : (bool * int * float) list array;
+      (** per position: (dense array?, key seed, value) writes *)
+  h_seed : int;  (** delivery order and token targets *)
+}
 
-let pol_delin name lin =
-  let dims = List.assoc name pol_dims in
-  let n = Array.length dims in
-  let key = Array.make n 0 in
-  let rem = ref lin in
-  for i = n - 1 downto 0 do
-    key.(i) <- !rem mod dims.(i);
-    rem := !rem / dims.(i)
-  done;
-  key
+let gen_history =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun ranks ->
+    int_range 1 8 >>= fun blocks ->
+    array_size (return blocks) (int_range 0 (ranks - 1)) >>= fun owners ->
+    array_size (return blocks)
+      (list_size (int_range 0 6)
+         (triple bool small_nat (float_range (-1e3) 1e3)))
+    >>= fun writes ->
+    int >|= fun seed ->
+    { h_ranks = ranks; h_owners = owners; h_blocks = writes; h_seed = seed })
 
-let pol_stats =
-  (* one dense-ish and one sparse array, so [auto] exercises both key
-     modes (the records are plain data — no need to build arrays) *)
+let arb_history =
+  QCheck.make gen_history ~print:(fun h ->
+      Printf.sprintf "ranks %d, owners [%s], %d writes, seed %d" h.h_ranks
+        (String.concat ";" (Array.to_list (Array.map string_of_int h.h_owners)))
+        (Array.fold_left (fun a l -> a + List.length l) 0 h.h_blocks)
+        h.h_seed)
+
+let stamp_arrays () =
   [
-    ( "W",
-      {
-        Dist_array.st_cells = 20;
-        st_stored = 20;
-        st_nnz = 16;
-        st_density = 0.8;
-        st_sparse = false;
-      } );
-    ( "h",
-      {
-        Dist_array.st_cells = 16;
-        st_stored = 2;
-        st_nnz = 2;
-        st_density = 0.125;
-        st_sparse = true;
-      } );
+    Dist_array.fill_dense ~name:"W" ~dims:[| 4; 5 |] 0.0;
+    Dist_array.create_sparse ~name:"h" ~dims:[| 16 |] ~default:0.0;
   ]
 
-(* random journal: writes chunked into blocks 0, 1, ... of pass 0 *)
-let mk_entries seeds : Orion_net.Wire.block_writes list =
-  let writes =
-    List.map
-      (fun (w, kseed, v) ->
-        let name = if w then "W" else "h" in
-        let key = pol_delin name (kseed mod 20) in
-        { Orion_net.Wire.w_array = name; w_key = key; w_value = v })
-      seeds
-  in
-  let rec chunk b = function
-    | [] -> []
-    | ws ->
-        let n = min 3 (List.length ws) in
-        let head = List.filteri (fun i _ -> i < n) ws
-        and tail = List.filteri (fun i _ -> i >= n) ws in
-        { Orion_net.Wire.bw_pass = 0; bw_block = b; bw_writes = Array.of_list head }
-        :: chunk (b + 1) tail
-  in
-  chunk 0 writes
+let write_key dense kseed =
+  if dense then [| kseed mod 20 / 5; kseed mod 5 |] else [| kseed mod 16 |]
 
-(* last-writer-wins state of a journal, keyed (array, key) *)
-let lww_state (entries : Orion_net.Wire.block_writes list) =
-  let st = Hashtbl.create 32 in
-  List.iter
-    (fun (bw : Orion_net.Wire.block_writes) ->
-      Array.iter
-        (fun (w : Orion_net.Wire.write) ->
-          Hashtbl.replace st (w.w_array, Array.to_list w.w_key) (bits w.w_value))
-        bw.bw_writes)
-    entries;
-  st
-
-let same_state a b =
-  Hashtbl.length a = Hashtbl.length b
-  && Hashtbl.fold (fun k v ok -> ok && Hashtbl.find_opt b k = Some v) a true
-
-(* every decoded write is some journaled write, bitwise, in its own
-   (pass, block) group *)
-let subset_of entries decoded =
-  List.for_all
-    (fun (bw : Orion_net.Wire.block_writes) ->
-      Array.for_all
-        (fun (w : Orion_net.Wire.write) ->
-          List.exists
-            (fun (bw' : Orion_net.Wire.block_writes) ->
-              bw'.bw_pass = bw.bw_pass
-              && bw'.bw_block = bw.bw_block
-              && Array.exists
-                   (fun (w' : Orion_net.Wire.write) ->
-                     w'.w_array = w.w_array && w'.w_key = w.w_key
-                     && bits w'.w_value = bits w.w_value)
-                   bw'.bw_writes)
-            entries)
-        bw.bw_writes)
-    decoded
-
-let pol_specs =
+let stamp_specs =
   [ Policy.Auto; Policy.Full; Policy.Delta; Policy.Topk 2; Policy.Budget 64.0 ]
 
-let gen_seeds =
-  QCheck.(
-    small_list (triple bool small_nat (float_range (-1e3) 1e3)))
+(* What one run of a history observed. *)
+type stamp_run = {
+  sr_converged : bool;  (** every rank ends in the serial LWW state *)
+  sr_exact : bool;
+      (** every shipped triple is the last write of its version's block
+          to its element, bitwise *)
+  sr_foreign : bool;  (** no peer was offered an element it last wrote *)
+  sr_bounded : bool;  (** [topk:K] tokens carry at most K triples *)
+}
 
-(* decode ∘ encode round-trips exactly the writes the policy chose to
-   send, and a pass-sync flush is state-complete under every policy *)
+let run_history spec h =
+  let rng = Random.State.make [| h.h_seed |] in
+  let nblocks = Array.length h.h_owners in
+  let ranks =
+    Array.init h.h_ranks (fun r ->
+        let arrays = stamp_arrays () in
+        let st =
+          Policy.stamps spec ~rank:r ~peers:h.h_ranks ~owners:h.h_owners arrays
+        in
+        Policy.note_pass st;
+        (arrays, st, Policy.externs st))
+  in
+  (* serial reference, and the last value each block wrote per element *)
+  let serial = stamp_arrays () in
+  let last_write = Hashtbl.create 32 in
+  Array.iteri
+    (fun pos ws ->
+      List.iter
+        (fun (dense, kseed, v) ->
+          let a = List.nth serial (if dense then 0 else 1) in
+          let key = write_key dense kseed in
+          Dist_array.set a key v;
+          Hashtbl.replace last_write
+            (Dist_array.name a, Dist_array.linearize a key, pos)
+            (bits v))
+        ws)
+    h.h_blocks;
+  let exact = ref true and foreign = ref true and bounded = ref true in
+  let inflight = ref [] in
+  let send ~src ~dst ~sync =
+    let _, st, _ = ranks.(src) in
+    let payload, _ = Policy.prepare st ~peer:dst ~sync in
+    let trs = Policy.decode payload in
+    List.iter
+      (fun (tr : Orion_net.Wire.triples) ->
+        Array.iteri
+          (fun i lin ->
+            let ver = tr.tr_versions.(i) in
+            if h.h_owners.(ver mod nblocks) = dst then foreign := false;
+            if
+              Hashtbl.find_opt last_write (tr.tr_array, lin, ver mod nblocks)
+              <> Some (bits tr.tr_values.(i))
+            then exact := false)
+          tr.tr_keys)
+      trs;
+    (match spec with
+    | Policy.Topk k when not sync ->
+        let n =
+          List.fold_left
+            (fun a (tr : Orion_net.Wire.triples) -> a + Array.length tr.tr_keys)
+            0 trs
+        in
+        if n > k then bounded := false
+    | _ -> ());
+    inflight := (dst, payload) :: !inflight
+  in
+  let deliver ~all =
+    let shuffled =
+      List.map (fun m -> (Random.State.bits rng, m)) !inflight
+      |> List.sort compare |> List.map snd
+    in
+    let now, later =
+      List.partition (fun _ -> all || Random.State.bool rng) shuffled
+    in
+    inflight := later;
+    List.iter
+      (fun (dst, payload) ->
+        let _, st, _ = ranks.(dst) in
+        Policy.apply st payload)
+      now
+  in
+  Array.iteri
+    (fun pos ws ->
+      let r = h.h_owners.(pos) in
+      let _, st, externs = ranks.(r) in
+      Policy.begin_block st ~pass:0 ~pos;
+      List.iter
+        (fun (dense, kseed, v) ->
+          let key = write_key dense kseed in
+          if dense then
+            match (List.assoc "W" externs).Orion.Value.ex_fast with
+            | Some fa -> fa.Orion.Value.fa_set key v
+            | None -> Alcotest.fail "stamping extern lost its fast path"
+          else
+            (List.assoc "h" externs).Orion.Value.ex_set
+              [| Orion.Value.Cpoint key.(0) |]
+              (Orion.Value.Vfloat v))
+        ws;
+      let dst = (r + 1 + Random.State.int rng (h.h_ranks - 1)) mod h.h_ranks in
+      send ~src:r ~dst ~sync:false;
+      deliver ~all:false)
+    h.h_blocks;
+  for src = 0 to h.h_ranks - 1 do
+    for dst = 0 to h.h_ranks - 1 do
+      if src <> dst then send ~src ~dst ~sync:true
+    done
+  done;
+  deliver ~all:true;
+  let snapshot arrays =
+    List.map (fun a -> Dist_array.to_partition a) arrays
+    |> List.map (fun p ->
+           Array.map (fun (k, v) -> (k, bits v)) p.Dist_array.pt_entries)
+  in
+  let want = snapshot serial in
+  {
+    sr_converged =
+      Array.for_all (fun (arrays, _, _) -> snapshot arrays = want) ranks;
+    sr_exact = !exact;
+    sr_foreign = !foreign;
+    sr_bounded = !bounded;
+  }
+
+(* relayed, shuffled tokens plus a pass sync reach the serial
+   last-writer-wins state under every policy, and every shipped triple
+   is exactly the last write of its version's block *)
 let qcheck_policy_sync_roundtrip =
   QCheck.Test.make ~count:200 ~name:"policy sync flush round-trips LWW state"
-    gen_seeds
-    (fun seeds ->
-      let entries = mk_entries seeds in
+    arb_history (fun h ->
       List.for_all
         (fun spec ->
-          let sender =
-            Policy.sender spec ~peers:1 ~linearize:pol_lin ~pos:(fun b -> b)
-          in
-          Policy.note_pass sender pol_stats;
-          let payload, accounts =
-            Policy.prepare sender ~peer:0 ~sync:true entries
-          in
-          let decoded = Policy.decode_entries ~delinearize:pol_delin payload in
-          subset_of entries decoded
-          && same_state (lww_state entries) (lww_state decoded)
-          && List.for_all (fun (_, b, f) -> b >= 0.0 && f >= 0.0) accounts)
-        pol_specs)
+          let r = run_history spec h in
+          r.sr_converged && r.sr_exact)
+        stamp_specs)
 
 (* mid-pass, a lossy policy sends a bounded subset; the suppressed
-   residuals complete the state at the next sync flush *)
+   residuals complete the state at the pass sync *)
 let qcheck_policy_residual_flush =
   QCheck.Test.make ~count:200 ~name:"suppressed residuals flush at pass sync"
-    gen_seeds
-    (fun seeds ->
-      let entries = mk_entries seeds in
+    arb_history (fun h ->
       List.for_all
-        (fun (spec, cap) ->
-          let sender =
-            Policy.sender spec ~peers:1 ~linearize:pol_lin ~pos:(fun b -> b)
-          in
-          Policy.note_pass sender pol_stats;
-          let mid, _ = Policy.prepare sender ~peer:0 ~sync:false entries in
-          let flush, _ = Policy.prepare sender ~peer:0 ~sync:true [] in
-          let dm = Policy.decode_entries ~delinearize:pol_delin mid in
-          let df = Policy.decode_entries ~delinearize:pol_delin flush in
-          let sent =
-            List.fold_left
-              (fun acc (bw : Orion_net.Wire.block_writes) ->
-                acc + Array.length bw.bw_writes)
-              0 dm
-          in
-          (match cap with Some k -> sent <= k | None -> true)
-          && subset_of entries dm
-          && subset_of entries df
-          (* kept and residual element sets are disjoint, so applying
-             the two payloads in order reconstructs the LWW state *)
-          && same_state (lww_state entries) (lww_state (dm @ df)))
-        [ (Policy.Topk 2, Some 2); (Policy.Budget 64.0, None) ])
+        (fun spec ->
+          let r = run_history spec h in
+          r.sr_bounded && r.sr_converged)
+        [ Policy.Topk 2; Policy.Budget 64.0 ])
+
+let qcheck_policy_no_own_writes =
+  QCheck.Test.make ~count:200
+    ~name:"a peer is never sent an element it last wrote" arb_history
+    (fun h ->
+      List.for_all (fun spec -> (run_history spec h).sr_foreign) stamp_specs)
 
 let qcheck_packed_partition_roundtrip =
   QCheck.Test.make ~count:200 ~name:"packed partition codec round-trip"
@@ -659,6 +699,105 @@ let distributed_telemetry_merged_timeline () =
       Alcotest.(check bool) "per-block cost table is non-empty" true
         (sm.Orion.Telemetry.sm_block_costs <> [])
 
+(* the worker's stamp encode and decode+apply are Marshal spans, so a
+   traced run reports where serialization time goes *)
+let distributed_marshal_time () =
+  let app = find_app "mf" in
+  let inst = app.Orion.App.app_make ~num_machines:2 ~workers_per_machine:1 () in
+  let r =
+    Orion.Engine.run inst.Orion.App.inst_session inst
+      ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+      ~passes:2 ~telemetry:true ()
+  in
+  match r.Orion.Engine.ep_telemetry with
+  | None -> Alcotest.fail "distributed run produced no telemetry"
+  | Some sm ->
+      let m = sm.Orion.Telemetry.sm_overall.Orion.Metrics.marshal_sec in
+      Alcotest.(check bool)
+        (Printf.sprintf "marshal_sec %.3e > 0" m)
+        true (m > 0.0)
+
+(* Every rank holds the same state after the last barrier and ships
+   only the elements whose last writer it owns, so the final gather is
+   O(model): the same bytes after 1 pass as after 10, counted in the
+   run's per-array byte totals. *)
+let final_gather_is_model_sized () =
+  let app = find_app "mf" in
+  let gather passes =
+    let inst =
+      app.Orion.App.app_make ~num_machines:2 ~workers_per_machine:1 ()
+    in
+    let r =
+      Orion.Engine.run inst.Orion.App.inst_session inst
+        ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+        ~passes ()
+    in
+    let by_array = Hashtbl.create 4 in
+    Orion.Trace.iter
+      (fun sp ->
+        let l = sp.Orion.Trace.label in
+        if String.length l > 7 && String.sub l 0 7 = "gather:" then
+          let name = String.sub l 7 (String.length l - 7) in
+          Hashtbl.replace by_array name
+            (sp.Orion.Trace.bytes
+            +. Option.value (Hashtbl.find_opt by_array name) ~default:0.0))
+      inst.Orion.App.inst_session.Orion.cluster.Orion.Cluster.trace;
+    Hashtbl.iter
+      (fun name b ->
+        let total =
+          Option.value
+            (List.assoc_opt name r.Orion.Engine.ep_bytes_by_array)
+            ~default:0.0
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s gather bytes %.0f within its total %.0f" name b
+             total)
+          true (b <= total))
+      by_array;
+    Hashtbl.fold (fun _ b acc -> acc +. b) by_array 0.0
+  in
+  let one = gather 1 and ten = gather 10 in
+  Alcotest.(check bool) (Printf.sprintf "gather ships bytes (%.0f)" one) true
+    (one > 0.0);
+  Alcotest.(check (float 0.0)) "gather bytes do not grow with passes" one ten
+
+(* [orion trace --mode distributed] passes its --scale through, so the
+   workers rebuild the same schedule at any scale *)
+let cli_distributed_trace_at_scale () =
+  let exe =
+    let candidates =
+      [
+        Filename.concat
+          (Filename.dirname Sys.executable_name)
+          "../bin/orion_cli.exe";
+        Filename.concat (Sys.getcwd ()) "../bin/orion_cli.exe";
+      ]
+    in
+    match List.find_opt Sys.file_exists candidates with
+    | Some p -> p
+    | None ->
+        Alcotest.failf "orion_cli.exe not found near %s" Sys.executable_name
+  in
+  let out = Filename.temp_file "orion-trace" ".json" in
+  let csv = Filename.temp_file "orion-trace" ".csv" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove csv)
+    (fun () ->
+      let code =
+        Sys.command
+          (Filename.quote_command exe
+             ~stdout:Filename.null
+             [
+               "trace"; "--mode"; "distributed"; "--app"; "mf"; "--procs"; "2";
+               "--passes"; "1"; "--scale"; "3"; "--out"; out; "--csv"; csv;
+             ])
+      in
+      Alcotest.(check int) "trace at --scale 3 exits 0" 0 code;
+      Alcotest.(check bool) "trace file written" true
+        ((Unix.stat out).Unix.st_size > 0))
+
 (* ------------------------------------------------------------------ *)
 (* Failure path: a worker aborting mid-pass surfaces as a structured   *)
 (* error within a bounded time, with no leftover workers               *)
@@ -798,6 +937,7 @@ let () =
           tc "spec strings parse and print" `Quick test_policy_spec_strings;
           qc qcheck_policy_sync_roundtrip;
           qc qcheck_policy_residual_flush;
+          qc qcheck_policy_no_own_writes;
           qc qcheck_packed_partition_roundtrip;
           tc "mf delta == full" `Slow (delta_matches_full "mf");
           tc "slr delta == full" `Slow (delta_matches_full "slr");
@@ -833,7 +973,11 @@ let () =
         [
           tc "2-proc merged timeline is clock-aligned" `Quick
             distributed_telemetry_merged_timeline;
+          tc "traced run reports marshal time" `Quick distributed_marshal_time;
+          tc "cli trace at --scale 3" `Quick cli_distributed_trace_at_scale;
         ] );
+      ( "final_gather",
+        [ tc "mf gather is O(model)" `Quick final_gather_is_model_sized ] );
       ("failure", [ tc "worker abort mid-pass" `Quick fault_injection ]);
       ( "kill_and_resume",
         [

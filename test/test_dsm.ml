@@ -95,6 +95,50 @@ let test_extern_bridge () =
   Alcotest.(check (float 0.0)) "extern set" 5.0 (Dist_array.get a [| 1; 1 |]);
   Alcotest.(check int) "on_get hook" 1 !gets
 
+(* the stamping extern reports exactly the cells a write changed, on
+   the boxed path (points, ranges, whole dimensions) and the unboxed one *)
+let test_qcheck_stamped_extern () =
+  QCheck.Test.make ~count:300 ~name:"stamped extern stamps written cells"
+    QCheck.(
+      quad (int_range 1 5) (int_range 1 5) (int_range 0 3)
+        (pair small_nat small_nat))
+    (fun (rows, cols, shape, (i, j)) ->
+      let a = Dist_array.fill_dense ~name:"s" ~dims:[| rows; cols |] 0.0 in
+      let stamped = ref [] in
+      let ex =
+        Dist_array.to_stamped_extern
+          ~stamp:(fun lin -> stamped := lin :: !stamped)
+          a
+      in
+      let i = i mod rows and j = j mod cols in
+      let subs =
+        match shape with
+        | 0 -> [| V.Cpoint i; V.Cpoint j |]
+        | 1 -> [| V.Call_dim; V.Cpoint j |]
+        | 2 -> [| V.Cpoint i; V.Crange (j, cols - 1) |]
+        | _ -> [| V.Crange (i, rows - 1); V.Call_dim |]
+      in
+      let len =
+        match shape with
+        | 0 -> 1
+        | 1 -> rows
+        | 2 -> cols - j
+        | _ -> cols
+      in
+      ex.V.ex_set subs
+        (V.Vvec (Array.init len (fun k -> float_of_int (k + 1))));
+      (match ex.V.ex_fast with
+      | Some fa -> fa.V.fa_set [| rows - 1; 0 |] 99.0
+      | None -> ());
+      let changed =
+        Dist_array.fold
+          (fun acc key v ->
+            if v <> 0.0 then Dist_array.linearize a key :: acc else acc)
+          [] a
+      in
+      ex.V.ex_fast <> None
+      && List.sort_uniq compare !stamped = List.sort compare changed)
+
 let test_text_file_and_checkpoint () =
   let path = Filename.temp_file "orion" ".txt" in
   let oc = open_out path in
@@ -520,6 +564,7 @@ let () =
           tc "extern bridge" `Quick test_extern_bridge;
           tc "text file + checkpoint" `Quick test_text_file_and_checkpoint;
           qc (test_qcheck_linearize_roundtrip ());
+          qc (test_qcheck_stamped_extern ());
         ] );
       ( "pipeline",
         [
