@@ -7,7 +7,6 @@
      dune exec bench/main.exe -- fig9b table3  # selected experiments
      dune exec bench/main.exe -- micro         # micro-benchmarks only
      dune exec bench/main.exe -- metrics       # per-pass executor metrics only
-     dune exec bench/main.exe -- speedup       # multicore domain-pool speedup
      ORION_BENCH_SCALE=2 dune exec bench/main.exe   # larger datasets *)
 
 open Bechamel
@@ -290,22 +289,6 @@ let run_metrics () =
     strategies
 
 (* ------------------------------------------------------------------ *)
-(* Multicore speedup: every registered app on the domain pool at
-   increasing domain counts, results checked against the simulated
-   execution of the same schedule; JSON lands in BENCH_parallel.json   *)
-
-let run_speedup () =
-  print_endline "\nDomain-pool speedup (self-relative, vs simulated results)";
-  print_endline "=========================================================";
-  Printf.printf "available cores: %d\n" (Domain.recommended_domain_count ());
-  let scale =
-    match Sys.getenv_opt "ORION_BENCH_SCALE" with
-    | Some s -> ( try float_of_string s with _ -> 1.0)
-    | None -> 1.0
-  in
-  ignore (Bench.run ~mode:`Speedup ~scale ~out:"BENCH_parallel.json" ())
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -316,7 +299,6 @@ let () =
       Experiments.all ()
   | [ "micro" ] -> run_micro ()
   | [ "metrics" ] -> run_metrics ()
-  | [ "speedup" ] -> run_speedup ()
   | names ->
       List.iter
         (fun name ->

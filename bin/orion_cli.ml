@@ -48,12 +48,14 @@ let arrays_arg =
   in
   Arg.(value & opt_all string [] & info [ "array"; "a" ] ~docv:"SPEC" ~doc)
 
-let machines_arg =
-  Arg.(value & opt int 4 & info [ "machines"; "m" ] ~docv:"N" ~doc:"simulated machines")
-
-let wpm_arg =
+let machines_arg ?(default = 4) () =
   Arg.(
-    value & opt int 2
+    value & opt int default
+    & info [ "machines"; "m" ] ~docv:"N" ~doc:"simulated machines")
+
+let wpm_arg ?(default = 2) () =
+  Arg.(
+    value & opt int default
     & info [ "workers-per-machine"; "w" ] ~docv:"N" ~doc:"workers per machine")
 
 let file_arg =
@@ -114,7 +116,9 @@ let analyze_cmd =
         0
   in
   let term =
-    Term.(const run $ arrays_arg $ machines_arg $ wpm_arg $ log_arg $ file_arg)
+    Term.(
+      const run $ arrays_arg $ machines_arg () $ wpm_arg () $ log_arg
+      $ file_arg)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -147,18 +151,146 @@ let builtin_app session name =
       Some a.Orion.App.app_script
   | None -> None
 
-(* --scale falls back to ORION_BENCH_SCALE so scripted runs can grow
-   every subcommand's dataset uniformly *)
-let env_scale () =
-  match Sys.getenv_opt "ORION_BENCH_SCALE" with
-  | Some v -> ( try float_of_string v with Failure _ -> 1.0)
-  | None -> 1.0
+(* ------------------------------------------------------------------ *)
+(* Naming a run: the flags run, trace, bench, tune, verify and explain
+   --measured share.  An empty list is a flag the user did not give;
+   only bench takes more than one value. *)
 
-let resolve_scale = function Some s -> s | None -> env_scale ()
+module Run_spec = Orion_apps.Run_spec
+
+type run_flags = {
+  apps : string list;
+  domains : int list;
+  procs : int list;
+  transport : Orion.Engine.transport;
+  comms : string list;
+  common : Run_spec.common;  (** --scale, --passes, -m, -w, first --comms *)
+}
+
+(* Every subcommand declares --app, --scale, -m and -w; [reads] names
+   the other run flags it declares, and the rest keep their defaults.
+   [app]: the default app, if any; [required]: --app must be given *)
+let run_flags ?(many = false) ?app ?(required = false) ?(passes = 1)
+    ?machines ?wpm
+    (reads : [ `Domains | `Procs | `Tcp | `Comms | `Passes ] list) =
+  let declared flag term default =
+    if List.mem flag reads then term else Term.const default
+  in
+  let values c ~docv names doc =
+    Arg.(value & opt (list c) [] & info names ~docv ~doc)
+  in
+  let apps =
+    let names =
+      Arg.info [ "app"; "apps" ] ~docv:"NAME"
+        ~doc:"registered app (`list` prints the registry)"
+    in
+    if required then
+      Term.(
+        const (fun a -> [ a ]) $ Arg.(required & opt (some string) None names))
+    else Arg.(value & opt (list string) (Option.to_list app) names)
+  in
+  let domains =
+    declared `Domains
+      (values Arg.int ~docv:"N" [ "domains"; "parallel" ]
+         "run on a compiled pool of $(docv) OCaml domains")
+      []
+  in
+  let procs =
+    declared `Procs
+      (values Arg.int ~docv:"N" [ "procs" ]
+         "run on $(docv) worker processes over sockets (lib/net); overrides \
+          --domains")
+      []
+  in
+  let tcp =
+    declared `Tcp
+      Arg.(
+        value & flag
+        & info [ "tcp" ]
+            ~doc:"use TCP loopback instead of Unix domain sockets for --procs")
+      false
+  in
+  let comms =
+    declared `Comms
+      (values Arg.string ~docv:"POLICY" [ "comms" ]
+         "communication policy for --procs: auto | full | delta | topk:K | \
+          budget:BYTES (default auto)")
+      []
+  in
+  let passes =
+    declared `Passes
+      Arg.(
+        value & opt int passes
+        & info [ "passes"; "p" ] ~docv:"N" ~doc:"training passes")
+      passes
+  in
+  let scale =
+    Arg.(
+      value & opt float 1.0
+      & info [ "scale" ] ~docv:"S" ~doc:"dataset scale factor")
+  in
+  let make apps domains procs tcp comms passes scale machines
+      workers_per_machine =
+    let several l = List.length l > 1 in
+    if
+      (not many)
+      && (several apps || several domains || several procs || several comms)
+    then `Error (true, "only bench takes more than one value per run flag")
+    else
+      let common =
+        Run_spec.common ~scale ~passes ?comms:(List.nth_opt comms 0) ~machines
+          ~workers_per_machine ()
+      in
+      let transport = if tcp then `Tcp else `Unix in
+      `Ok { apps; domains; procs; transport; comms; common }
+  in
+  Term.(
+    ret
+      (const make $ apps $ domains $ procs $ tcp $ comms $ passes $ scale
+      $ machines_arg ?default:machines ()
+      $ wpm_arg ?default:wpm ()))
+
+(* run flags a subcommand declares but does not read [context] (e.g.
+   "with --mode sim"): say so rather than run without them in silence *)
+let unread ~cmd ~context (f : run_flags) flags =
+  List.iter
+    (fun flag ->
+      let name, given =
+        match flag with
+        | `Domains -> ("--domains", f.domains <> [])
+        | `Procs -> ("--procs", f.procs <> [])
+        | `Tcp -> ("--tcp", f.transport = `Tcp)
+        | `Comms -> ("--comms", f.comms <> [])
+      in
+      if given then
+        Printf.eprintf "orion %s: %s is ignored %s\n" cmd name context)
+    flags
+
+let first ~default = function x :: _ -> x | [] -> default
+
+let distributed (f : run_flags) procs =
+  `Distributed { Orion.Engine.procs; transport = f.transport }
+
+(* resolve --app for the subcommands that run one app *)
+let with_app ~cmd (f : run_flags) k =
+  match f.apps with
+  | [ "list" ] ->
+      print_registry ();
+      0
+  | name :: _ -> (
+      match Orion.App.find name with
+      | Some a -> k a
+      | None ->
+          Printf.eprintf "orion %s: %s\n" cmd (unknown_app_msg name);
+          1)
+  | [] ->
+      Printf.eprintf "orion %s: need --app NAME\n" cmd;
+      1
 
 let explain_cmd =
-  let run arrays machines wpm log app json measured domains passes file =
+  let run arrays log (flags : run_flags) json measured file =
     setup_log log;
+    let app = List.nth_opt flags.apps 0 in
     if app = Some "list" then begin
       print_registry ();
       0
@@ -166,15 +298,16 @@ let explain_cmd =
     else if measured then begin
       (* --measured re-costs the decision tree from a real measured run,
          so it needs an app instance with data, not just array shapes *)
-      match (app, file) with
-      | None, _ | Some _, Some _ ->
-          prerr_endline "orion explain: --measured needs --app NAME (no FILE)";
-          1
-      | Some name, None -> (
+      if app = None || file <> None then begin
+        prerr_endline "orion explain: --measured needs --app NAME (no FILE)";
+        1
+      end
+      else
+        with_app ~cmd:"explain" flags (fun a ->
           match
-            Orion_tune.Measured.run_app ~name ~domains ~passes
-              ~scale:(env_scale ()) ~num_machines:machines
-              ~workers_per_machine:wpm
+            Orion_tune.Measured.run_app
+              (Run_spec.make flags.common a
+                 (`Parallel (first ~default:2 flags.domains)))
           with
           | Error e ->
               Printf.eprintf "orion explain: %s\n" e;
@@ -190,7 +323,10 @@ let explain_cmd =
               0)
     end
     else
-    let session = make_session arrays ~machines ~wpm in
+    let session =
+      make_session arrays ~machines:flags.common.machines
+        ~wpm:flags.common.workers_per_machine
+    in
     (* [checked] is false for built-in app scripts: they are driver
        fragments with free variables (e.g. num_iterations) that a real
        driver would define, so the whole-program checker does not
@@ -235,14 +371,6 @@ let explain_cmd =
                 plans;
               0)
   in
-  let app_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:"explain a built-in application instead of a file: mf | slr | \
-                lda | gbt")
-  in
   let json_arg =
     Arg.(
       value & flag
@@ -259,18 +387,6 @@ let explain_cmd =
              side-by-side with the static model, flagging decisions that \
              flip")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"OCaml domains for the --measured calibration run")
-  in
-  let passes_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "passes" ] ~docv:"N"
-          ~doc:"training passes for the --measured calibration run")
-  in
   let file_pos =
     Arg.(
       value & pos 0 (some file) None
@@ -278,8 +394,10 @@ let explain_cmd =
   in
   let term =
     Term.(
-      const run $ arrays_arg $ machines_arg $ wpm_arg $ log_arg $ app_arg
-      $ json_arg $ measured_arg $ domains_arg $ passes_arg $ file_pos)
+      const run $ arrays_arg $ log_arg
+      $ run_flags ~passes:2 [ `Domains; `Passes ]
+      $ json_arg
+      $ measured_arg $ file_pos)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -291,40 +409,22 @@ let explain_cmd =
 
 (* run a registered app's parallel loop through the unified engine:
    simulated, on the domain pool, or on real worker processes *)
-let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
-    ~ckpt_dir ~ckpt_every ~resume =
-  if name = "list" then begin
-    print_registry ();
-    0
-  end
-  else if resume && ckpt_dir = None then begin
+let run_app (flags : run_flags) ~ckpt_dir ~ckpt_every ~resume =
+  if resume && ckpt_dir = None then begin
     prerr_endline "orion run: --resume needs --checkpoint DIR";
     1
   end
   else
-    match Orion.App.find name with
-    | None ->
-        Printf.eprintf "orion run: %s\n" (unknown_app_msg name);
-        1
-    | Some a -> (
-        let scale = resolve_scale scale in
-        let inst, mode =
-          match procs with
-          | Some procs ->
-              (* distributed instances are shaped one worker process
-                 per simulated machine *)
-              ( a.Orion.App.app_make ~scale ~num_machines:procs
-                  ~workers_per_machine:1 (),
-                `Distributed
-                  {
-                    Orion.Engine.procs;
-                    transport = (if tcp then `Tcp else `Unix);
-                  } )
-          | None ->
-              ( a.Orion.App.app_make ~scale ~num_machines:machines
-                  ~workers_per_machine:wpm (),
-                if domains <= 1 then `Sim else `Parallel domains )
+    with_app ~cmd:"run" flags (fun a ->
+        let name = a.Orion.App.app_name and passes = flags.common.passes in
+        let backend =
+          match (flags.procs, flags.domains) with
+          | procs :: _, _ -> distributed flags procs
+          | [], domains :: _ -> `Parallel domains
+          | [], [] -> `Sim
         in
+        let spec = Run_spec.make flags.common a backend in
+        let inst = Run_spec.instance spec in
         (* resume picks up from the newest checkpoint: restore the
            arrays and RNG into the freshly built instance, then run only
            the passes the interrupted run never finished *)
@@ -337,12 +437,14 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
                     dir;
                   0
               | Some (path, s) ->
-                  if s.Orion_store.Checkpoint.ck_app <> name then begin
-                    Printf.eprintf
-                      "orion run: checkpoint %s is for app %s, not %s\n" path
-                      s.Orion_store.Checkpoint.ck_app name;
-                    exit 1
-                  end;
+                  (match
+                     Orion_store.Checkpoint.mismatch s ~app:name
+                       ~scale:inst.Orion.App.inst_scale
+                   with
+                  | Some why ->
+                      Printf.eprintf "orion run: checkpoint %s %s\n" path why;
+                      exit 1
+                  | None -> ());
                   Orion_store.Checkpoint.restore s inst.Orion.App.inst_arrays;
                   Orion.Interp.Rng.set_state
                     inst.Orion.App.inst_env.Orion.Interp.rng
@@ -360,7 +462,8 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
           | Some dir ->
               let sink ~pass_done arrays =
                 let s =
-                  Orion_store.Checkpoint.snapshot ~app:name ~scale
+                  Orion_store.Checkpoint.snapshot ~app:name
+                    ~scale:inst.Orion.App.inst_scale
                     ~pass:(done_passes + pass_done) ~total_passes:passes
                     ~rng:
                       (Orion.Interp.Rng.state
@@ -379,8 +482,7 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
         end
         else
         match
-          Orion.Engine.run inst.Orion.App.inst_session inst ~mode
-            ~passes:remaining ~scale ?comms ?checkpoint ()
+          Run_spec.run ~passes:remaining ?checkpoint spec inst
         with
         | exception (Orion.Engine.Distributed_error _ as exn) ->
             Printf.eprintf "orion run: %s\n"
@@ -436,21 +538,24 @@ let run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes ~scale
             0)
 
 let run_cmd =
-  let run arrays machines wpm log seed profile app domains procs tcp comms
-      passes scale ckpt_dir ckpt_every resume file =
+  let run arrays log seed profile (flags : run_flags) ckpt_dir ckpt_every
+      resume file =
     setup_log log;
-    match (app, file) with
-    | Some _, Some _ ->
+    match (flags.apps, file) with
+    | _ :: _, Some _ ->
         prerr_endline "orion run: give either FILE or --app, not both";
         1
-    | Some name, None ->
-        run_app name ~machines ~wpm ~domains ~procs ~tcp ~comms ~passes
-          ~scale ~ckpt_dir ~ckpt_every ~resume
-    | None, None ->
+    | _ :: _, None -> run_app flags ~ckpt_dir ~ckpt_every ~resume
+    | [], None ->
         prerr_endline "orion run: need an OrionScript FILE or --app NAME";
         1
-    | None, Some file ->
-        let session = make_session arrays ~machines ~wpm in
+    | [], Some file ->
+        unread ~cmd:"run" ~context:"with a FILE" flags
+          [ `Domains; `Procs; `Tcp; `Comms ];
+        let session =
+          make_session arrays ~machines:flags.common.machines
+            ~wpm:flags.common.workers_per_machine
+        in
         (* arrays declared on the command line become real zero-filled
            DistArrays so the program can execute *)
         List.iter
@@ -486,62 +591,6 @@ let run_cmd =
             "profile the interpreted driver: per-line hit counts and \
              inclusive wall time, plus per-DistArray element access counts")
   in
-  let app_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:
-            "run a registered app's parallel loop instead of a file (`list` \
-             prints the registry)")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains"; "parallel" ] ~docv:"N"
-          ~doc:
-            "execute --app on a real pool of $(docv) OCaml domains (1 = \
-             simulated cluster)")
-  in
-  let procs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "procs" ] ~docv:"N"
-          ~doc:
-            "execute --app on $(docv) real worker processes over sockets \
-             (lib/net); overrides --domains")
-  in
-  let tcp =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "use TCP loopback instead of Unix domain sockets for --procs")
-  in
-  let comms =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "comms" ] ~docv:"POLICY"
-          ~doc:
-            "communication policy for --procs: auto | full | delta | topk:K \
-             | budget:BYTES (default: ORION_COMMS, or auto)")
-  in
-  let passes =
-    Arg.(
-      value & opt int 1
-      & info [ "passes" ] ~docv:"N" ~doc:"training passes for --app")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scale" ] ~docv:"S"
-          ~doc:
-            "dataset scale factor for --app (default: ORION_BENCH_SCALE, or \
-             1.0)")
-  in
   let ckpt_dir =
     Arg.(
       value
@@ -572,9 +621,9 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ arrays_arg $ machines_arg $ wpm_arg $ log_arg $ seed $ profile
-      $ app_arg $ domains $ procs $ tcp $ comms $ passes $ scale $ ckpt_dir
-      $ ckpt_every $ resume $ file_pos)
+      const run $ arrays_arg $ log_arg $ seed $ profile
+      $ run_flags [ `Domains; `Procs; `Tcp; `Comms; `Passes ]
+      $ ckpt_dir $ ckpt_every $ resume $ file_pos)
   in
   Cmd.v
     (Cmd.info "run"
@@ -614,7 +663,9 @@ let prefetch_cmd =
         prerr_endline "no @parallel_for loop found";
         1
   in
-  let term = Term.(const run $ arrays_arg $ machines_arg $ wpm_arg $ file_arg) in
+  let term =
+    Term.(const run $ arrays_arg $ machines_arg () $ wpm_arg () $ file_arg)
+  in
   Cmd.v
     (Cmd.info "prefetch"
        ~doc:"Show the synthesized bulk-prefetch program for the first loop")
@@ -637,30 +688,67 @@ let apps_cmd =
     Term.(const run $ const ())
 
 let bench_cmd =
-  let run machines wpm log mode apps domains procs tcp comms passes scale out
-      =
+  let run log mode (flags : run_flags) out =
     setup_log log;
-    let scale = resolve_scale scale in
-    let apps = match apps with [] -> None | l -> Some l in
-    let transport = if tcp then `Tcp else `Unix in
+    let apps =
+      match (flags.apps, mode) with
+      | [], `Tune -> [ "slrskew" ]
+      | [], _ -> Orion.App.names ()
+      | l, _ -> l
+    in
+    let apps =
+      List.filter_map
+        (fun n ->
+          match Orion.App.find n with
+          | Some a -> Some a
+          | None ->
+              Printf.eprintf "orion bench: unknown app %S (skipped)\n" n;
+              None)
+        apps
+    in
+    let given ~default = function [] -> default | l -> l in
+    let several = List.filter (fun n -> n > 1) in
+    let domains ~default = given ~default flags.domains
+    and procs ~default = given ~default flags.procs in
+    let out default = Option.value out ~default in
     match
       match mode with
       | `Tune ->
-          let out =
-            Option.value out ~default:Orion_tune.Tune_bench.default_out
-          in
-          Orion_tune.Tune_bench.run ?apps ~domains_list:domains
-            ~procs_list:procs
-            ~comms:(match comms with c :: _ -> c | [] -> "auto")
-            ~passes ~transport ~scale ~out ~num_machines:machines
-            ~workers_per_machine:wpm ()
+          Orion_tune.Tune_bench.run
+            ~out:(out Orion_tune.Tune_bench.default_out)
+            flags.common apps
+            (List.map
+               (fun d -> `Parallel d)
+               (several (domains ~default:[ 1; 2; 4; 8 ]))
+            @ List.map (distributed flags)
+                (several (procs ~default:[ 1; 2; 4 ])))
       | #Orion_apps.Bench.mode as mode ->
-          let out =
-            Option.value out ~default:(Orion_apps.Bench.default_out mode)
+          let unread =
+            unread ~cmd:"bench" flags
+              ~context:("with --mode " ^ Orion_apps.Bench.mode_to_string mode)
           in
-          Orion_apps.Bench.run ~mode ~scale ~out ?apps ~domains_list:domains
-            ~procs_list:procs ~comms ~passes ~transport
-            ~num_machines:machines ~workers_per_machine:wpm ()
+          let suite =
+            match mode with
+            | `Speedup ->
+                unread [ `Procs; `Tcp; `Comms ];
+                `Speedup (domains ~default:[ 1; 2; 4; 8 ])
+            | `Speedup_distributed ->
+                unread [ `Domains ];
+                `Speedup_distributed
+                  ( flags.transport,
+                    procs ~default:[ 1; 2; 4 ],
+                    given ~default:[ "auto" ] flags.comms )
+            | `Convergence ->
+                `Convergence
+                  ((`Sim
+                   :: List.map
+                        (fun d -> `Parallel d)
+                        (domains ~default:[ 2; 4; 8 ]))
+                  @ List.map (distributed flags) flags.procs)
+          in
+          Orion_apps.Bench.run
+            ~out:(out (Orion_apps.Bench.default_out mode))
+            flags.common apps suite
     with
     | exception (Orion.Engine.Distributed_error _ as exn) ->
         Printf.eprintf "orion bench: %s\n"
@@ -685,68 +773,14 @@ let bench_cmd =
           `Speedup
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
-            "benchmark mode: speedup (domain-pool wall-clock scaling), \
-             speedup-distributed (multi-process socket runtime scaling), \
-             convergence (per-pass training loss versus monotonic wall \
-             time), or tune (static vs adaptive re-planning on skewed \
-             inputs, BENCH_tune.json)")
-  in
-  let apps =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "apps" ] ~docv:"NAMES"
-          ~doc:"comma-separated registered apps (default: all)")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "domains" ] ~docv:"NS"
-          ~doc:"comma-separated domain counts to measure")
-  in
-  let procs =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4 ]
-      & info [ "procs" ] ~docv:"NS"
-          ~doc:
-            "comma-separated worker-process counts to measure \
-             (speedup-distributed)")
-  in
-  let tcp =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "use TCP loopback instead of Unix domain sockets \
-             (speedup-distributed)")
-  in
-  let comms =
-    Arg.(
-      value
-      & opt (list string) [ "auto" ]
-      & info [ "comms" ] ~docv:"POLICIES"
-          ~doc:
-            "comma-separated communication policies to measure \
-             (speedup-distributed): auto | full | delta | topk:K | \
-             budget:BYTES — a full-policy baseline row always runs first \
-             so bytes-saved and loss-drift columns have a reference")
-  in
-  let passes =
-    Arg.(
-      value & opt int 3
-      & info [ "passes" ] ~docv:"N" ~doc:"training passes per measurement")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scale" ] ~docv:"S"
-          ~doc:
-            "dataset scale factor — enlarge each app's synthetic input by \
-             this factor so per-entry work dominates pool overhead (default: \
-             ORION_BENCH_SCALE, or 1.0)")
+            "benchmark mode: speedup (domain-pool wall-clock scaling over \
+             --domains, default 1,2,4,8), speedup-distributed \
+             (multi-process socket runtime scaling over --procs, default \
+             1,2,4, and over --comms, each after a full-policy baseline \
+             row), convergence (per-pass training loss versus monotonic \
+             wall time: a sim curve, one per --domains entry, default \
+             2,4,8, and one per --procs entry), or tune (static vs \
+             adaptive re-planning on skewed inputs, BENCH_tune.json)")
   in
   let out =
     Arg.(
@@ -759,8 +793,10 @@ let bench_cmd =
   in
   let term =
     Term.(
-      const run $ machines_arg $ wpm_arg $ log_arg $ mode $ apps $ domains
-      $ procs $ tcp $ comms $ passes $ scale $ out)
+      const run $ log_arg $ mode
+      $ run_flags ~many:true ~passes:3
+          [ `Domains; `Procs; `Tcp; `Comms; `Passes ]
+      $ out)
   in
   Cmd.v
     (Cmd.info "bench"
@@ -820,7 +856,6 @@ let data_cmd =
   in
   let gen_cmd =
     let run kind out scale shards seed =
-      let scale = resolve_scale scale in
       let spec =
         match kind with
         | `Ratings -> Orion_store.Gen.movielens_spec ~scale ()
@@ -866,12 +901,11 @@ let data_cmd =
     in
     let scale =
       Arg.(
-        value
-        & opt (some float) None
+        value & opt float 1.0
         & info [ "scale" ] ~docv:"S"
             ~doc:
               "dataset scale factor (1.0 is full paper scale, e.g. ~10M \
-               ratings; default: ORION_BENCH_SCALE, or 1.0)")
+               ratings)")
     in
     let shards =
       Arg.(
@@ -953,34 +987,23 @@ let trace_cmd =
      runtime with telemetry forced on and export the merged wall-clock
      timeline (Chrome trace-event JSON with metrics and per-block
      costs as metadata) plus optional per-pass metrics CSV. *)
-  let run_real ~kind ~app ~machines ~wpm ~domains ~procs ~tcp ~passes ~scale
-      ~out ~csv =
-    match Orion.App.find app with
-    | None ->
-        Printf.eprintf "orion trace: %s\n" (unknown_app_msg app);
-        1
-    | Some a -> (
-        let inst, mode, label =
+  let run_real ~kind (flags : run_flags) ~out ~csv =
+    with_app ~cmd:"trace" flags (fun a ->
+        let backend, label =
           match kind with
           | `Parallel ->
-              ( a.Orion.App.app_make ~scale ~num_machines:machines
-                  ~workers_per_machine:wpm (),
-                `Parallel domains,
+              let domains = first ~default:2 flags.domains in
+              ( `Parallel domains,
                 Printf.sprintf "parallel (%d domains)" domains )
           | `Distributed ->
-              ( a.Orion.App.app_make ~scale ~num_machines:procs
-                  ~workers_per_machine:1 (),
-                `Distributed
-                  {
-                    Orion.Engine.procs;
-                    transport = (if tcp then `Tcp else `Unix);
-                  },
+              let procs = first ~default:2 flags.procs in
+              ( distributed flags procs,
                 Printf.sprintf "distributed (%d procs)" procs )
         in
-        match
-          Orion.Engine.run inst.Orion.App.inst_session inst ~mode ~passes
-            ~scale ~telemetry:true ()
-        with
+        let spec = Run_spec.make flags.common a backend in
+        let inst = Run_spec.instance spec in
+        let app = a.Orion.App.app_name and passes = flags.common.passes in
+        match Run_spec.run ~telemetry:true spec inst with
         | exception (Orion.Engine.Distributed_error _ as exn) ->
             Printf.eprintf "orion trace: %s\n"
               (Orion.Engine.distributed_error_to_string exn);
@@ -1127,14 +1150,20 @@ let trace_cmd =
         Printf.printf "wrote per-pass metrics to %s\n" path);
     0
   in
-  let run machines wpm mode app domains procs tcp strategy passes scale
-      cost_per_entry out csv =
+  let run mode (flags : run_flags) strategy cost_per_entry out csv =
+    let unread = unread ~cmd:"trace" flags in
     match mode with
-    | `Sim -> run_sim ~machines ~wpm ~strategy ~passes ~scale ~cost_per_entry
-                ~out ~csv
-    | (`Parallel | `Distributed) as kind ->
-        run_real ~kind ~app ~machines ~wpm ~domains ~procs ~tcp ~passes
-          ~scale ~out ~csv
+    | `Sim ->
+        unread ~context:"with --mode sim" [ `Domains; `Procs; `Tcp ];
+        let c = flags.common in
+        run_sim ~machines:c.machines ~wpm:c.workers_per_machine ~strategy
+          ~passes:c.passes ~scale:c.scale ~cost_per_entry ~out ~csv
+    | `Parallel ->
+        unread ~context:"with --mode parallel" [ `Procs; `Tcp ];
+        run_real ~kind:`Parallel flags ~out ~csv
+    | `Distributed ->
+        unread ~context:"with --mode distributed" [ `Domains ];
+        run_real ~kind:`Distributed flags ~out ~csv
   in
   let mode =
     Arg.(
@@ -1153,34 +1182,6 @@ let trace_cmd =
              cluster), parallel (wall-clock --app run on the domain pool), \
              or distributed (wall-clock --app run on real worker processes)")
   in
-  let trace_app =
-    Arg.(
-      value & opt string "mf"
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:
-            "registered app to trace under --mode parallel|distributed \
-             (`list` prints the registry)")
-  in
-  let domains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"OCaml domains for --mode parallel")
-  in
-  let procs =
-    Arg.(
-      value & opt int 2
-      & info [ "procs" ] ~docv:"N"
-          ~doc:"worker processes for --mode distributed")
-  in
-  let tcp =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "use TCP loopback instead of Unix domain sockets (--mode \
-             distributed)")
-  in
   let strategy =
     let choices =
       [
@@ -1197,12 +1198,6 @@ let trace_cmd =
           ~doc:
             "execution strategy for --mode sim: serial | 1d | 2d-ordered | \
              2d-unordered")
-  in
-  let passes =
-    Arg.(value & opt int 3 & info [ "passes"; "p" ] ~docv:"N" ~doc:"training passes")
-  in
-  let scale =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"S" ~doc:"dataset scale factor")
   in
   let cost_per_entry =
     Arg.(
@@ -1222,8 +1217,10 @@ let trace_cmd =
   in
   let term =
     Term.(
-      const run $ machines_arg $ wpm_arg $ mode $ trace_app $ domains $ procs
-      $ tcp $ strategy $ passes $ scale $ cost_per_entry $ out $ csv)
+      const run $ mode
+      $ run_flags ~app:"mf" ~passes:3 [ `Domains; `Procs; `Tcp; `Passes ]
+      $ strategy
+      $ cost_per_entry $ out $ csv)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1240,65 +1237,49 @@ let tune_cmd =
      adopted schedule sequence and require equal results.  Exit 1 when
      an adopted re-plan was not race-checker-validated or the replay
      diverges. *)
-  let run machines wpm log app mode domains procs tcp comms passes scale
-      json out =
+  let run log mode (flags : run_flags) json out =
     setup_log log;
-    if app = "list" then begin
-      print_registry ();
-      0
-    end
-    else
-      match Orion.App.find app with
-      | None ->
-          Printf.eprintf "orion tune: %s\n" (unknown_app_msg app);
-          1
-      | Some a -> (
-          let scale = resolve_scale scale in
-          let mode =
-            match mode with
-            | `Parallel -> `Parallel domains
-            | `Distributed ->
-                `Distributed (procs, if tcp then `Tcp else `Unix)
-          in
-          match
-            Orion_tune.Tune_bench.run_app ~app:a ~mode ~passes ~scale
-              ~num_machines:machines ~workers_per_machine:wpm ?comms ()
-          with
-          | exception (Orion.Engine.Distributed_error _ as exn) ->
-              Printf.eprintf "orion tune: %s\n"
-                (Orion.Engine.distributed_error_to_string exn);
-              1
-          | r ->
-              if json then
-                print_endline
+    with_app ~cmd:"tune" flags (fun a ->
+        let unread = unread ~cmd:"tune" flags in
+        let backend =
+          match mode with
+          | `Parallel ->
+              unread ~context:"with --mode parallel" [ `Procs; `Tcp; `Comms ];
+              `Parallel (first ~default:2 flags.domains)
+          | `Distributed ->
+              unread ~context:"with --mode distributed" [ `Domains ];
+              distributed flags (first ~default:2 flags.procs)
+        in
+        match
+          Orion_tune.Tune_bench.run_app (Run_spec.make flags.common a backend)
+        with
+        | exception (Orion.Engine.Distributed_error _ as exn) ->
+            Printf.eprintf "orion tune: %s\n"
+              (Orion.Engine.distributed_error_to_string exn);
+            1
+        | r ->
+            if json then
+              print_endline
+                (Orion.Report.emit ~kind:"tune"
+                   (Orion_tune.Tune_bench.result_json r))
+            else
+              print_string
+                (Fmt.str "%a" Orion_tune.Tune_bench.pp_result r);
+            (match out with
+            | None -> ()
+            | Some path ->
+                let oc = open_out path in
+                output_string oc
                   (Orion.Report.emit ~kind:"tune"
-                     (Orion_tune.Tune_bench.result_json r))
-              else
-                print_string
-                  (Fmt.str "%a" Orion_tune.Tune_bench.pp_result r);
-              (match out with
-              | None -> ()
-              | Some path ->
-                  let oc = open_out path in
-                  output_string oc
-                    (Orion.Report.emit ~kind:"tune"
-                       (Orion_tune.Tune_bench.result_json r));
-                  output_char oc '\n';
-                  close_out oc;
-                  Printf.printf "wrote %s\n" path);
-              if
-                r.Orion_tune.Tune_bench.tb_adopted_unvalidated > 0
-                || not r.Orion_tune.Tune_bench.tb_replay_equal
-              then 1
-              else 0)
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "slrskew"
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:
-            "registered app to tune (`list` prints the registry); slrskew \
-             is the Zipf-skewed workload adaptive re-planning exists for")
+                     (Orion_tune.Tune_bench.result_json r));
+                output_char oc '\n';
+                close_out oc;
+                Printf.printf "wrote %s\n" path);
+            if
+              r.Orion_tune.Tune_bench.tb_adopted_unvalidated > 0
+              || not r.Orion_tune.Tune_bench.tb_replay_equal
+            then 1
+            else 0)
   in
   let mode =
     Arg.(
@@ -1308,42 +1289,6 @@ let tune_cmd =
       & info [ "mode" ] ~docv:"MODE"
           ~doc:"backend to tune on: parallel (domain pool) or distributed \
                 (worker processes)")
-  in
-  let domains =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for --mode parallel")
-  in
-  let procs =
-    Arg.(
-      value & opt int 2
-      & info [ "procs" ] ~docv:"N"
-          ~doc:"worker processes for --mode distributed")
-  in
-  let tcp =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:
-            "use TCP loopback instead of Unix domain sockets (--mode \
-             distributed)")
-  in
-  let comms =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "comms" ] ~docv:"POLICY"
-          ~doc:"communication policy for --mode distributed")
-  in
-  let passes =
-    Arg.(value & opt int 3 & info [ "passes" ] ~docv:"N" ~doc:"training passes")
-  in
-  let scale =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scale" ] ~docv:"S"
-          ~doc:"dataset scale factor (default: ORION_BENCH_SCALE, or 1.0)")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"emit the comparison as JSON")
@@ -1357,8 +1302,10 @@ let tune_cmd =
   in
   let term =
     Term.(
-      const run $ machines_arg $ wpm_arg $ log_arg $ app_arg $ mode $ domains
-      $ procs $ tcp $ comms $ passes $ scale $ json $ out)
+      const run $ log_arg $ mode
+      $ run_flags ~app:"slrskew" ~passes:3
+          [ `Domains; `Procs; `Tcp; `Comms; `Passes ]
+      $ json $ out)
   in
   Cmd.v
     (Cmd.info "tune"
@@ -1371,8 +1318,9 @@ let tune_cmd =
     term
 
 let verify_cmd =
-  let run machines wpm log app json schedule pipeline_depth scale =
+  let run log (flags : run_flags) json schedule pipeline_depth =
     setup_log log;
+    let app = List.hd flags.apps in
     if app = "list" then begin
       print_registry ();
       0
@@ -1385,10 +1333,11 @@ let verify_cmd =
       | `Ordered_2d -> Some Orion_verify.Verify.Force_2d_ordered
       | `Unordered_2d -> Some Orion_verify.Verify.Force_2d_unordered
     in
+    let c = flags.common in
     match
-      Orion_verify.Verify.verify_app ~num_machines:machines
-        ~workers_per_machine:wpm ?pipeline_depth
-        ~scale:(resolve_scale scale) ?schedule_override:override app
+      Orion_verify.Verify.verify_app ~num_machines:c.machines
+        ~workers_per_machine:c.workers_per_machine ?pipeline_depth
+        ~scale:c.scale ?schedule_override:override app
     with
     | Error e ->
         prerr_endline ("orion verify: " ^ e);
@@ -1398,13 +1347,6 @@ let verify_cmd =
           (if json then Orion_verify.Verify.report_to_json report ^ "\n"
            else Orion_verify.Verify.report_to_string report);
         if report.Orion_verify.Verify.r_passed then 0 else 1
-  in
-  let app_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "app" ] ~docv:"APP"
-          ~doc:"built-in app to verify: mf | slr | lda | gbt")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"emit the report as JSON") in
   let schedule =
@@ -1430,28 +1372,11 @@ let verify_cmd =
       & info [ "pipeline-depth" ] ~docv:"N"
           ~doc:"pipeline depth for unordered 2-D schedules")
   in
-  let scale =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "scale" ] ~docv:"S"
-          ~doc:
-            "dataset scale factor (default: ORION_BENCH_SCALE, or 1.0)")
-  in
-  let machines =
-    Arg.(
-      value & opt int 2
-      & info [ "machines"; "m" ] ~docv:"N" ~doc:"simulated machines")
-  in
-  let wpm =
-    Arg.(
-      value & opt int 2
-      & info [ "workers-per-machine"; "w" ] ~docv:"N" ~doc:"workers per machine")
-  in
   let term =
     Term.(
-      const run $ machines $ wpm $ log_arg $ app_arg $ json $ schedule $ depth
-      $ scale)
+      const run $ log_arg
+      $ run_flags ~required:true ~machines:2 ~wpm:2 []
+      $ json $ schedule $ depth)
   in
   Cmd.v
     (Cmd.info "verify"

@@ -21,11 +21,6 @@ let mode_of_string = function
   | "convergence" -> Some `Convergence
   | _ -> None
 
-let kind_of_mode = function
-  | `Speedup -> "bench-speedup"
-  | `Speedup_distributed -> "bench-speedup-distributed"
-  | `Convergence -> "bench-convergence"
-
 let default_out = function
   | `Speedup -> "BENCH_parallel.json"
   | `Speedup_distributed -> "BENCH_distributed.json"
@@ -158,74 +153,53 @@ let write_file out contents =
   output_char oc '\n';
   close_out oc
 
-let run_convergence ?apps ~domains_list ~passes ~scale ~num_machines
-    ~workers_per_machine ~print () : Convergence.result list =
-  Registry.ensure ();
-  let names = match apps with Some l -> l | None -> App.names () in
-  let selected =
-    List.filter_map
-      (fun n ->
-        match App.find n with
-        | Some a when Option.is_some a.App.app_loss -> Some a
-        | Some a ->
-            Printf.eprintf
-              "bench convergence: app %s declares no loss (skipped)\n"
-              a.App.app_name;
-            None
-        | None ->
-            Printf.eprintf "bench convergence: unknown app %S (skipped)\n" n;
-            None)
-      names
-  in
+let run_convergence common apps backends ~print : Convergence.result list =
   List.concat_map
-    (fun a ->
-      List.map
-        (fun d ->
-          (* domain count 1 measures the simulated cluster *)
-          let mode = if d <= 1 then `Sim else `Parallel d in
-          let r =
-            Convergence.run a ~mode ~passes ~scale ~num_machines
-              ~workers_per_machine ()
-          in
-          if print then
-            List.iter
-              (fun (p : Convergence.point) ->
-                Printf.printf "%-4s %-10s pass %2d | loss %14.6f | %8.4f s\n"
-                  r.Convergence.cv_app r.Convergence.cv_mode
-                  p.Convergence.pt_pass p.Convergence.pt_loss
-                  p.Convergence.pt_wall)
-              r.Convergence.cv_points;
-          r)
-        domains_list)
-    selected
+    (fun (a : App.t) ->
+      if Option.is_none a.App.app_loss then begin
+        Printf.eprintf "bench convergence: app %s declares no loss (skipped)\n"
+          a.App.app_name;
+        []
+      end
+      else
+        List.map
+          (fun backend ->
+            let r = Convergence.run (Run_spec.make common a backend) in
+            if print then
+              List.iter
+                (fun (p : Convergence.point) ->
+                  Printf.printf "%-4s %-10s pass %2d | loss %14.6f | %8.4f s\n"
+                    r.Convergence.cv_app r.Convergence.cv_mode
+                    p.Convergence.pt_pass p.Convergence.pt_loss
+                    p.Convergence.pt_wall)
+                r.Convergence.cv_points;
+            r)
+          backends)
+    apps
 
-let run ~(mode : mode) ~scale ~out ?apps ?(domains_list = [ 1; 2; 4; 8 ])
-    ?(procs_list = [ 1; 2; 4 ]) ?(comms = [ "auto" ]) ?(passes = 3)
-    ?(transport = `Unix) ?(num_machines = 2) ?(workers_per_machine = 2)
-    ?(print = true) () : row list =
-  let payload, rows =
-    match mode with
-    | `Speedup ->
-        let results, payload =
-          Speedup.run ?apps ~domains_list ~passes ~scale ~num_machines
-            ~workers_per_machine ()
-        in
+type suite =
+  [ `Speedup of int list
+  | `Speedup_distributed of Orion.Engine.transport * int list * string list
+  | `Convergence of Orion.Engine.mode list ]
+
+let run ~out ?(print = true) common apps (suite : suite) : row list =
+  let kind, payload, rows =
+    match suite with
+    | `Speedup domains ->
+        let results, payload = Speedup.run common apps ~domains in
         if print then Speedup.print_results results;
-        (payload, speedup_rows results)
-    | `Speedup_distributed ->
+        ("bench-speedup", payload, speedup_rows results)
+    | `Speedup_distributed (transport, procs, comms) ->
         let results, payload =
-          Dist_bench.run ?apps ~procs_list ~comms ~passes ~scale ~transport ()
+          Dist_bench.run common apps ~transport ~procs ~comms
         in
         if print then Dist_bench.print_results results;
-        (payload, dist_rows results)
-    | `Convergence ->
-        let results =
-          run_convergence ?apps ~domains_list ~passes ~scale ~num_machines
-            ~workers_per_machine ~print ()
-        in
-        (Convergence.payload results, convergence_rows results)
+        ("bench-speedup-distributed", payload, dist_rows results)
+    | `Convergence backends ->
+        let results = run_convergence common apps backends ~print in
+        ("bench-convergence", Convergence.payload results,
+         convergence_rows results)
   in
-  write_file out
-    (Report.emit ~kind:(kind_of_mode mode) (with_rows payload rows));
+  write_file out (Report.emit ~kind (with_rows payload rows));
   if print then Printf.printf "wrote %s\n" out;
   rows

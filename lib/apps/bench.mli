@@ -45,26 +45,25 @@ val with_rows : Orion.Report.json -> row list -> Orion.Report.json
 (** Write an enveloped report (plus trailing newline) to a path. *)
 val write_file : string -> string -> unit
 
-(** Run one benchmark suite and write its enveloped JSON (with the
-    uniform ["rows"] section appended) to [out] (see {!default_out}
-    for the conventional paths).  [domains_list] drives [`Speedup] and
-    [`Convergence]; [procs_list], [comms], and [transport] drive
-    [`Speedup_distributed].  [print] (default true) emits the
-    human-readable tables on stdout.  Returns the rows.
+(** A suite and the backends it sweeps: domain counts for [`Speedup];
+    transport, worker-process counts and comms policies for
+    [`Speedup_distributed]; one curve per backend for [`Convergence]. *)
+type suite =
+  [ `Speedup of int list
+  | `Speedup_distributed of Orion.Engine.transport * int list * string list
+  | `Convergence of Orion.Engine.mode list ]
+
+(** Run one benchmark suite over [apps], every run sharing [common], and
+    write its enveloped JSON (with the uniform ["rows"] section
+    appended) to [out] (see {!default_out} for the conventional paths).
+    [print] (default true) emits the human-readable tables on stdout.
+    Returns the rows.
     @raise Orion.Engine.Distributed_error when a distributed run fails
     @raise Invalid_argument on a malformed [comms] policy spec *)
 val run :
-  mode:mode ->
-  scale:float ->
   out:string ->
-  ?apps:string list ->
-  ?domains_list:int list ->
-  ?procs_list:int list ->
-  ?comms:string list ->
-  ?passes:int ->
-  ?transport:Orion.Engine.transport ->
-  ?num_machines:int ->
-  ?workers_per_machine:int ->
   ?print:bool ->
-  unit ->
+  Run_spec.common ->
+  Orion.App.t list ->
+  suite ->
   row list

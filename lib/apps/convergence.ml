@@ -27,9 +27,8 @@ type result = {
   cv_points : point list;
 }
 
-let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
-    ?(scale = 1.0) ?(num_machines = 2) ?(workers_per_machine = 2)
-    ?pipeline_depth ?comms () : result =
+let run (spec : Run_spec.t) : result =
+  let app = spec.Run_spec.app in
   let loss_of =
     match app.Orion.App.app_loss with
     | Some f -> f
@@ -38,15 +37,7 @@ let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
           (Printf.sprintf "app %s declares no training loss"
              app.Orion.App.app_name)
   in
-  let inst =
-    match mode with
-    | `Distributed { Orion.Engine.procs; _ } ->
-        (* one worker process per simulated machine *)
-        app.Orion.App.app_make ~scale ~num_machines:procs
-          ~workers_per_machine:1 ()
-    | `Sim | `Parallel _ ->
-        app.Orion.App.app_make ~scale ~num_machines ~workers_per_machine ()
-  in
+  let inst = Run_spec.instance spec in
   let t0 = Clock.now () in
   let points = ref [] in
   let record ~pass ~report =
@@ -76,11 +67,8 @@ let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
   record ~pass:0 ~report:None;
   let comms_used = ref "local" in
   let bytes_shipped = ref 0.0 and bytes_full = ref 0.0 in
-  for pass = 1 to passes do
-    let r =
-      Orion.Engine.run inst.Orion.App.inst_session inst ~mode ~passes:1
-        ?pipeline_depth ~scale ~telemetry:true ?comms ()
-    in
+  for pass = 1 to spec.Run_spec.common.passes do
+    let r = Run_spec.run ~passes:1 ~telemetry:true spec inst in
     comms_used := r.Orion.Engine.ep_comms;
     bytes_shipped := !bytes_shipped +. r.Orion.Engine.ep_bytes_shipped;
     bytes_full := !bytes_full +. r.Orion.Engine.ep_bytes_full;
@@ -89,18 +77,12 @@ let run (app : Orion.App.t) ~(mode : Orion.Engine.mode) ~passes
     Option.iter (fun f -> f inst) app.Orion.App.app_prepare_pass;
     record ~pass ~report:(Some r)
   done;
-  let domains =
-    match mode with
-    | `Sim -> 1
-    | `Parallel d -> d
-    | `Distributed { Orion.Engine.procs; _ } -> procs
-  in
   {
     cv_app = app.Orion.App.app_name;
-    cv_mode = Orion.Engine.mode_to_string mode;
-    cv_domains = domains;
-    cv_passes = passes;
-    cv_scale = scale;
+    cv_mode = Orion.Engine.mode_to_string spec.Run_spec.backend;
+    cv_domains = Run_spec.workers spec;
+    cv_passes = spec.Run_spec.common.passes;
+    cv_scale = spec.Run_spec.common.scale;
     cv_comms = !comms_used;
     cv_bytes_shipped = !bytes_shipped;
     cv_bytes_full = !bytes_full;

@@ -31,20 +31,9 @@ type result = {
   cv_points : point list;  (** pass order, starting at pass 0 *)
 }
 
-(** Run [app] for [passes] passes under [mode], measuring after each;
-    [comms] selects the distributed communication policy.
+(** Run the spec one pass at a time, measuring after each.
     @raise Invalid_argument when the app declares no [app_loss] *)
-val run :
-  Orion.App.t ->
-  mode:Orion.Engine.mode ->
-  passes:int ->
-  ?scale:float ->
-  ?num_machines:int ->
-  ?workers_per_machine:int ->
-  ?pipeline_depth:int ->
-  ?comms:string ->
-  unit ->
-  result
+val run : Run_spec.t -> result
 
 val result_payload : result -> Orion_report.json
 

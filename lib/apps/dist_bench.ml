@@ -63,35 +63,27 @@ type app_result = {
 let normalize_spec s =
   Policy.spec_to_string (Policy.spec_of_string_exn s)
 
-let bench_app (app : App.t) ~procs_list ~comms_list ~passes ~scale ~transport :
-    app_result =
+let bench_app (common : Run_spec.common) (app : App.t) ~transport ~procs ~comms
+    : app_result =
   let strategy = ref "" and model = ref "" in
   let base_wall = ref None in
   let runs =
     List.concat_map
       (fun procs ->
-        let ref_inst =
-          app.App.app_make ~scale ~num_machines:procs ~workers_per_machine:1 ()
+        let spec comms =
+          Run_spec.make { common with comms } app
+            (`Distributed { Orion.Engine.procs; transport })
         in
-        ignore
-          (Orion.Engine.run ref_inst.App.inst_session ref_inst ~mode:`Sim
-             ~passes ());
+        let ref_spec = Run_spec.reference (spec "full") in
+        let ref_inst = Run_spec.instance ref_spec in
+        ignore (Run_spec.run ref_spec ref_inst);
         (* one distributed run under [comms]; the full-policy baseline
            comes first so every other policy can be measured against
            its outputs, loss, and bytes *)
         let measure ~comms ~full =
-          let inst =
-            app.App.app_make ~scale ~num_machines:procs ~workers_per_machine:1
-              ()
-          in
-          let r =
-            (* ~scale travels in the plan so workers rematerialize the
-               same-size instance (a missing ~scale shows up as a
-               schedule fingerprint mismatch at any scale <> 1) *)
-            Orion.Engine.run inst.App.inst_session inst
-              ~mode:(`Distributed { Orion.Engine.procs; transport })
-              ~passes ~scale ~comms ()
-          in
+          let spec = spec comms in
+          let inst = Run_spec.instance spec in
+          let r = Run_spec.run spec inst in
           strategy := r.Orion.Engine.ep_strategy;
           model := r.Orion.Engine.ep_model;
           let max_abs, max_rel =
@@ -181,10 +173,10 @@ let bench_app (app : App.t) ~procs_list ~comms_list ~passes ~scale ~transport :
                   measure ~comms ~full:(Some (full_inst, full_run, full_loss))
                 in
                 Some row)
-            comms_list
+            comms
         in
         full_row :: policy_rows)
-      procs_list
+      procs
   in
   {
     res_app = app.App.app_name;
@@ -234,10 +226,9 @@ let app_result_json (a : app_result) : Report.json =
       ("runs", Report.List (List.map run_json a.res_runs));
     ]
 
-let run ?apps ?(procs_list = [ 1; 2; 4 ]) ?(comms = [ "auto" ]) ?(passes = 3)
-    ?(scale = 1.0) ?(transport = `Unix) () : app_result list * Report.json =
-  Registry.ensure ();
-  let comms_list =
+let run (common : Run_spec.common) apps ~transport ~procs ~comms :
+    app_result list * Report.json =
+  let comms =
     (* normalized and deduplicated; the full baseline always runs *)
     List.fold_left
       (fun acc c ->
@@ -245,25 +236,8 @@ let run ?apps ?(procs_list = [ 1; 2; 4 ]) ?(comms = [ "auto" ]) ?(passes = 3)
         if List.mem c acc then acc else acc @ [ c ])
       [] comms
   in
-  let selected =
-    match apps with
-    | None -> App.all ()
-    | Some names ->
-        List.filter_map
-          (fun n ->
-            match App.find n with
-            | Some a -> Some a
-            | None ->
-                Printf.eprintf
-                  "bench speedup-distributed: unknown app %S (skipped)\n" n;
-                None)
-          names
-  in
   let results =
-    List.map
-      (fun app -> bench_app app ~procs_list ~comms_list ~passes ~scale
-                    ~transport)
-      selected
+    List.map (fun app -> bench_app common app ~transport ~procs ~comms) apps
   in
   let payload =
     Report.Obj
@@ -271,10 +245,9 @@ let run ?apps ?(procs_list = [ 1; 2; 4 ]) ?(comms = [ "auto" ]) ?(passes = 3)
         ("available_cores", Report.Int (Domain.recommended_domain_count ()));
         ( "transport",
           Report.Str (Orion.Engine.transport_to_string transport) );
-        ("passes", Report.Int passes);
-        ("scale", Report.Float scale);
-        ( "comms",
-          Report.List (List.map (fun c -> Report.Str c) comms_list) );
+        ("passes", Report.Int common.passes);
+        ("scale", Report.Float common.scale);
+        ("comms", Report.List (List.map (fun c -> Report.Str c) comms));
         ("apps", Report.List (List.map app_result_json results));
       ]
   in

@@ -43,21 +43,17 @@ type app_result = {
   res_runs : run list;
 }
 
-(** Run the benchmark over [apps] (default: every registered app) at
-    each worker count of [procs_list] (default [1; 2; 4]) under each
-    policy of [comms] (default [["auto"]]; a [full] baseline row is
-    always measured first), [passes] passes per measurement, over
-    [transport] (default [`Unix]).  Returns the results and the
-    un-enveloped ["bench-speedup-distributed"] payload.
-    @raise Invalid_argument on a malformed policy spec in [comms] *)
+(** Run every app on each worker-process count in [procs]; each count
+    measures a [full]-policy baseline row first, then one row per other
+    policy in [comms] (which takes the place of [common.comms]).  Returns the results and the un-enveloped
+    ["bench-speedup-distributed"] payload.
+    @raise Invalid_argument on a malformed policy spec *)
 val run :
-  ?apps:string list ->
-  ?procs_list:int list ->
-  ?comms:string list ->
-  ?passes:int ->
-  ?scale:float ->
-  ?transport:Orion.Engine.transport ->
-  unit ->
+  Run_spec.common ->
+  Orion.App.t list ->
+  transport:Orion.Engine.transport ->
+  procs:int list ->
+  comms:string list ->
   app_result list * Orion.Report.json
 
 (** Human-readable per-app/per-proc-count/per-policy table on stdout. *)

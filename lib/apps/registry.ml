@@ -206,6 +206,7 @@ let mf_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
   in
   {
     Orion.App.inst_name = "mf";
+    inst_scale = scale;
     inst_session = session;
     inst_env = make_env ();
     inst_make_env = make_env;
@@ -267,6 +268,7 @@ let slr_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
   in
   {
     Orion.App.inst_name = "slr";
+    inst_scale = scale;
     inst_session = session;
     inst_env = make_env ();
     inst_make_env = make_env;
@@ -325,6 +327,7 @@ let slrskew_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
   in
   {
     Orion.App.inst_name = "slrskew";
+    inst_scale = scale;
     inst_session = session;
     inst_env = make_env ();
     inst_make_env = make_env;
@@ -447,6 +450,7 @@ let lda_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
   in
   {
     Orion.App.inst_name = "lda";
+    inst_scale = scale;
     inst_session = session;
     inst_env = make_env ();
     inst_make_env = make_env;
@@ -537,6 +541,7 @@ let gbt_make ?(scale = 1.0) ~num_machines ~workers_per_machine () =
   in
   {
     Orion.App.inst_name = "gbt";
+    inst_scale = scale;
     inst_session = session;
     inst_env = make_env ();
     inst_make_env = make_env;

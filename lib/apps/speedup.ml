@@ -9,8 +9,8 @@
     [ORION_NO_COMPILE] is set), so every [equal_vs_sim] check here is
     also a compiled-vs-interpreted differential test.
 
-    Used by both [orion bench --mode speedup] and [bench/main.ml
-    speedup]; the JSON (kind ["bench-speedup"]) lands in
+    Used by [orion bench --mode speedup]; the JSON (kind
+    ["bench-speedup"]) lands in
     [BENCH_parallel.json].  Speedups are only meaningful on a machine
     with enough cores: runs where [domains] exceeds [available_cores]
     are flagged [oversubscribed] and excluded from each app's headline
@@ -76,27 +76,19 @@ let diff_outputs (a : (string * float Orion_dsm.Dist_array.t) list)
     a b;
   (!max_abs, !max_rel)
 
-let bench_app (app : App.t) ~domains_list ~passes ~scale ~available_cores
-    ~num_machines ~workers_per_machine : app_result =
+let bench_app common (app : App.t) ~domains ~available_cores : app_result =
   (* reference: the same schedule executed on the simulated cluster,
      always interpreted *)
-  let ref_inst =
-    app.App.app_make ~scale ~num_machines ~workers_per_machine ()
-  in
-  let ref_report =
-    Orion.Engine.run ref_inst.App.inst_session ref_inst ~mode:`Sim ~passes ()
-  in
+  let ref_spec = Run_spec.make common app `Sim in
+  let ref_inst = Run_spec.instance ref_spec in
+  let ref_report = Run_spec.run ref_spec ref_inst in
   let base_wall = ref None in
   let runs =
     List.map
       (fun domains ->
-        let inst =
-          app.App.app_make ~scale ~num_machines ~workers_per_machine ()
-        in
-        let r =
-          Orion.Engine.run inst.App.inst_session inst
-            ~mode:(`Parallel domains) ~passes ()
-        in
+        let spec = Run_spec.make common app (`Parallel domains) in
+        let inst = Run_spec.instance spec in
+        let r = Run_spec.run spec inst in
         let max_abs, max_rel =
           diff_outputs inst.App.inst_outputs ref_inst.App.inst_outputs
         in
@@ -136,7 +128,7 @@ let bench_app (app : App.t) ~domains_list ~passes ~scale ~available_cores
           run_max_rel_vs_sim = max_rel;
           run_equal_vs_sim = equal;
         })
-      domains_list
+      domains
   in
   let best_speedup =
     List.fold_left
@@ -207,44 +199,20 @@ let app_result_json (a : app_result) : Report.json =
       ("runs", Report.List (List.map run_json a.res_runs));
     ]
 
-(** Run the speedup benchmark over [apps] (default: every registered
-    app) at each domain count of [domains_list], [passes] passes per
-    measurement, datasets enlarged by [scale].  Returns the results
-    plus the un-enveloped ["bench-speedup"] payload ({!Bench.run}
-    envelopes and writes it). *)
-let run ?apps ?(domains_list = [ 1; 2; 4; 8 ]) ?(passes = 3) ?(scale = 1.0)
-    ?(num_machines = 2) ?(workers_per_machine = 2) () :
+let run (common : Run_spec.common) apps ~domains :
     app_result list * Report.json =
-  Registry.ensure ();
   let available_cores = Domain.recommended_domain_count () in
-  let selected =
-    match apps with
-    | None -> App.all ()
-    | Some names ->
-        List.filter_map
-          (fun n ->
-            match App.find n with
-            | Some a -> Some a
-            | None ->
-                Printf.eprintf "bench speedup: unknown app %S (skipped)\n" n;
-                None)
-          names
-  in
   let results =
-    List.map
-      (fun app ->
-        bench_app app ~domains_list ~passes ~scale ~available_cores
-          ~num_machines ~workers_per_machine)
-      selected
+    List.map (fun app -> bench_app common app ~domains ~available_cores) apps
   in
   let payload =
     Report.Obj
       [
         ("available_cores", Report.Int available_cores);
-        ("num_machines", Report.Int num_machines);
-        ("workers_per_machine", Report.Int workers_per_machine);
-        ("passes", Report.Int passes);
-        ("scale", Report.Float scale);
+        ("num_machines", Report.Int common.machines);
+        ("workers_per_machine", Report.Int common.workers_per_machine);
+        ("passes", Report.Int common.passes);
+        ("scale", Report.Float common.scale);
         ("apps", Report.List (List.map app_result_json results));
       ]
   in

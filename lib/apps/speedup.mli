@@ -50,20 +50,15 @@ val diff_outputs :
   (string * float Orion_dsm.Dist_array.t) list ->
   float * float
 
-(** Run the benchmark over [apps] (default: every registered app) at
-    each domain count of [domains_list] (default [1; 2; 4; 8]),
-    [passes] passes per measurement, datasets enlarged by [scale]
-    (default 1).  Returns the results and the un-enveloped
-    ["bench-speedup"] payload ({!Bench.run} envelopes and writes it
-    to [BENCH_parallel.json]). *)
+(** Run every app at each domain count of [domains] (the first is the
+    1x base of its speedups), each run checked against the [`Sim] run
+    of the same instance.  Returns the results and the un-enveloped
+    ["bench-speedup"] payload ({!Bench.run} envelopes and writes it to
+    [BENCH_parallel.json]). *)
 val run :
-  ?apps:string list ->
-  ?domains_list:int list ->
-  ?passes:int ->
-  ?scale:float ->
-  ?num_machines:int ->
-  ?workers_per_machine:int ->
-  unit ->
+  Run_spec.common ->
+  Orion.App.t list ->
+  domains:int list ->
   app_result list * Orion.Report.json
 
 (** Human-readable per-app/per-domain-count table on stdout. *)

@@ -32,8 +32,8 @@ module Prefetch = Orion_analysis.Prefetch
 module Cost_model = Orion_sim.Cost_model
 module Cluster = Orion_sim.Cluster
 module Recorder = Orion_sim.Recorder
-module Trace = Orion_sim.Trace
-module Metrics = Orion_sim.Metrics
+module Trace = Orion_obs.Trace
+module Metrics = Orion_obs.Metrics
 module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
@@ -475,6 +475,10 @@ module App = struct
       for buffered floating-point accumulation). *)
   type instance = {
     inst_name : string;  (** registry name of the app this came from *)
+    inst_scale : float;
+        (** the dataset scale [app_make] built it at: distributed
+            workers rebuild the instance at this scale and checkpoints
+            record it *)
     inst_session : session;
     inst_env : Interp.env;  (** the primary (serial-path) environment *)
     inst_make_env : unit -> Interp.env;
@@ -512,8 +516,8 @@ module App = struct
       ?scale:float -> num_machines:int -> workers_per_machine:int -> unit ->
       instance;
         (** build a fresh deterministic instance (identical initial
-            state every call); [scale] enlarges the dataset for
-            benchmarking *)
+            state every call); [scale] (default 1) enlarges the dataset
+            and is recorded as [inst_scale] *)
     app_register_meta : session -> unit;
         (** register the paper-scale array shapes (Table 2) so the
             analysis pipeline can run without materializing data *)
@@ -745,9 +749,7 @@ module Engine = struct
 
   (** The distributed master driver, installed by [lib/net]'s
       [Dist_master] (via [Orion_apps.Registry.ensure]) so the core
-      library stays free of any socket/process dependency.  Receives
-      the scale the instance was built with, because remote workers
-      rebuild the instance from the app registry. *)
+      library stays free of any socket/process dependency. *)
   type distributed_runner =
     session ->
     App.instance ->
@@ -755,7 +757,6 @@ module Engine = struct
     transport:transport ->
     passes:int ->
     pipeline_depth:int option ->
-    scale:float ->
     telemetry:bool ->
     comms:string option ->
     checkpoint:(int * checkpoint_sink) option ->
@@ -802,13 +803,18 @@ module Engine = struct
 
   (** Run [inst]'s parallel loop once under [mode].  [passes] repeats
       the pass (driver loops run several); the report aggregates all of
-      them.  [scale] must echo the dataset scale [inst] was built with
-      (only consulted by [`Distributed], whose workers rebuild the
-      instance). *)
+      them.  [scale] is only checked against [inst.inst_scale]. *)
   let run (session : session) (inst : App.instance) ~(mode : mode)
-      ?(passes = 1) ?pipeline_depth ?(scale = 1.0)
+      ?(passes = 1) ?pipeline_depth ?scale
       ?(telemetry = Telemetry.default_enabled ()) ?comms ?checkpoint
       ?replanner () : report =
+    (match scale with
+    | Some s when s <> inst.App.inst_scale ->
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run: ~scale %g differs from the instance's scale %g" s
+             inst.App.inst_scale)
+    | _ -> ());
     (* re-planning feeds on measured block costs *)
     let telemetry = telemetry || Option.is_some replanner in
     let checkpoint_due pass_done =
@@ -820,7 +826,7 @@ module Engine = struct
     | `Distributed { procs; transport } -> (
         match !distributed_runner with
         | Some f ->
-            f session inst ~procs ~transport ~passes ~pipeline_depth ~scale
+            f session inst ~procs ~transport ~passes ~pipeline_depth
               ~telemetry ~comms ~checkpoint ~replanner
         | None ->
             raise

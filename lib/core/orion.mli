@@ -29,8 +29,8 @@ module Prefetch = Orion_analysis.Prefetch
 module Cost_model = Orion_sim.Cost_model
 module Cluster = Orion_sim.Cluster
 module Recorder = Orion_sim.Recorder
-module Trace = Orion_sim.Trace
-module Metrics = Orion_sim.Metrics
+module Trace = Orion_obs.Trace
+module Metrics = Orion_obs.Metrics
 module Clock = Orion_obs.Clock
 module Telemetry = Orion_obs.Telemetry
 module Dist_array = Orion_dsm.Dist_array
@@ -200,6 +200,10 @@ module App : sig
       parsed parallel loop, and interpreter plumbing to run its body. *)
   type instance = {
     inst_name : string;  (** registry name of the app this came from *)
+    inst_scale : float;
+        (** the dataset scale [app_make] built it at: distributed
+            workers rebuild the instance at this scale and checkpoints
+            record it *)
     inst_session : session;
     inst_env : Interp.env;  (** the primary (serial-path) environment *)
     inst_make_env : unit -> Interp.env;
@@ -236,7 +240,8 @@ module App : sig
       ?scale:float -> num_machines:int -> workers_per_machine:int -> unit ->
       instance;
         (** build a fresh deterministic instance (identical initial
-            state every call); [scale] enlarges the dataset *)
+            state every call); [scale] (default 1) enlarges the dataset
+            and is recorded as [inst_scale] *)
     app_register_meta : session -> unit;
         (** register the paper-scale array shapes so the analysis
             pipeline can run without materializing data *)
@@ -373,7 +378,6 @@ module Engine : sig
     transport:transport ->
     passes:int ->
     pipeline_depth:int option ->
-    scale:float ->
     telemetry:bool ->
     comms:string option ->
     checkpoint:(int * checkpoint_sink) option ->
@@ -383,15 +387,15 @@ module Engine : sig
   val distributed_runner : distributed_runner option ref
 
   (** Run [inst]'s parallel loop [passes] times under [mode], mutating
-      its DistArrays in place.  [scale] must echo the dataset scale
-      [inst] was built with (only consulted by [`Distributed], whose
-      workers rebuild the instance from the app registry).
+      its DistArrays in place.  [scale] is kept for old callers and
+      only checked: a value other than [inst.inst_scale] raises
+      [Invalid_argument] naming both.
       [telemetry] (default {!Telemetry.default_enabled}) turns
       wall-clock span recording on for the real modes; the summary
       lands in [ep_telemetry].  [comms] selects the [`Distributed]
       communication policy ([Orion_net.Policy.spec_of_string] syntax:
       ["auto" | "full" | "delta" | "topk:K" | "budget:BYTES"]; default
-      the [ORION_COMMS] environment variable, then ["auto"]).
+      ["auto"]).
       [checkpoint] registers a pass-boundary {!checkpoint_sink} invoked
       every [every] completed passes, in all three modes.
       [replanner] closes the measurement loop: it is consulted at every

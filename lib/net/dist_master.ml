@@ -27,7 +27,7 @@ module Partitioner = Orion_dsm.Partitioner
 module Plan = Orion_analysis.Plan
 module Schedule = Orion_runtime.Schedule
 module Domain_exec = Orion_runtime.Domain_exec
-module Trace = Orion_sim.Trace
+module Trace = Orion_obs.Trace
 module Cluster = Orion_sim.Cluster
 module Telemetry = Orion_obs.Telemetry
 
@@ -36,7 +36,6 @@ type spawn = [ `Fork | `Exec of string ]
 let spawn_env = "ORION_DIST_SPAWN"  (* "fork" or "exec:<path>" *)
 let worker_exe_env = "ORION_WORKER_EXE"
 let timeout_env = Dist_worker.timeout_env
-let comms_env = "ORION_COMMS"  (* default --comms when none is given *)
 
 let master_timeout () =
   match Sys.getenv_opt timeout_env with
@@ -89,7 +88,11 @@ let spawn_worker (spawn : spawn) ~(materialize : Dist_worker.materialize)
         [| path; "--rank"; string_of_int rank; "--master"; master_addr |]
         Unix.stdin Unix.stdout Unix.stderr
   | `Fork -> (
+      (* OCaml 5 refuses to fork once this process has run domains *)
       match Unix.fork () with
+      | exception Failure reason ->
+          err ~rank "cannot fork a worker (%s); build orion_worker or set %s"
+            reason worker_exe_env
       | 0 ->
           (* the child must not touch the master's listener or buffers;
              _exit skips at_exit / flushing inherited channels *)
@@ -147,21 +150,14 @@ type worker_state = {
 
 let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
     (session : Orion.session) (inst : Orion.App.instance) ~procs
-    ~(transport : Orion.Engine.transport) ~passes ~pipeline_depth ~scale
+    ~(transport : Orion.Engine.transport) ~passes ~pipeline_depth
     ~telemetry ?(checkpoint : (int * Orion.Engine.checkpoint_sink) option)
     ?(replanner : Orion.Engine.replanner option) () : Orion.Engine.report =
   if procs < 1 then err "procs must be >= 1, got %d" procs;
   (* the re-planner decides from shipped block costs *)
   let telemetry = telemetry || replanner <> None in
-  (* explicit argument, then the environment (which exec'd/forked
-     workers of nested tools inherit), then auto *)
-  let comms_str =
-    match comms with
-    | Some c -> c
-    | None -> Option.value (Sys.getenv_opt comms_env) ~default:"auto"
-  in
   let comms_spec =
-    match Policy.spec_of_string comms_str with
+    match Policy.spec_of_string (Option.value comms ~default:"auto") with
     | Ok spec -> spec
     | Error e -> err "bad comms policy: %s" e
   in
@@ -191,6 +187,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
       ~sp ~tp
   in
   let fingerprint = Schedule.fingerprint sched in
+  let dataset_digest = Dist_worker.dataset_digest inst in
   (* the partitioner may produce fewer space partitions than requested
      workers on tiny data; spawn exactly one worker per partition *)
   let nw = sp in
@@ -485,7 +482,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
         (Wire.Plan
            {
              p_app = inst.Orion.App.inst_name;
-             p_scale = scale;
+             p_scale = inst.Orion.App.inst_scale;
              p_num_machines = session.Orion.cluster.Cluster.num_machines;
              p_workers_per_machine =
                session.Orion.cluster.Cluster.workers_per_machine;
@@ -497,6 +494,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
              p_tp = tp;
              p_model = model;
              p_fingerprint = fingerprint;
+             p_dataset_digest = dataset_digest;
              p_telemetry = telemetry;
              p_report_passes = checkpoint <> None;
              p_comms = comms_str;
@@ -894,7 +892,7 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
 let install ~(materialize : Dist_worker.materialize) =
   Orion.Engine.distributed_runner :=
     Some
-      (fun session inst ~procs ~transport ~passes ~pipeline_depth ~scale
+      (fun session inst ~procs ~transport ~passes ~pipeline_depth
            ~telemetry ~comms ~checkpoint ~replanner ->
         run ~materialize ?comms session inst ~procs ~transport ~passes
-          ~pipeline_depth ~scale ~telemetry ?checkpoint ?replanner ())
+          ~pipeline_depth ~telemetry ?checkpoint ?replanner ())

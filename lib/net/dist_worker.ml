@@ -129,6 +129,41 @@ let rebuild_schedule (plan : Plan.t) (inst : Orion.App.instance) ~tp
            ~space_boundaries ~time_parts:tp)
   | Plan.Two_d_unimodular _ -> None
 
+(** A digest of the data a worker rebuilds: every iteration-space key
+    and value, and the dims of every model array.  The master computes
+    it on every distributed call, so it mixes a word at a time. *)
+let dataset_digest (inst : Orion.App.instance) =
+  let h = ref Schedule.hash_init in
+  let mix x = h := Schedule.hash_mix !h x in
+  (* the sign bit does not fit an OCaml int: fold it into bit 0 *)
+  let mix_float f =
+    let b = Int64.bits_of_float f in
+    mix (Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 63))
+  in
+  let rec mix_value = function
+    | Value.Vunit | Value.Vextern _ -> mix 0
+    | Value.Vint n -> mix n
+    | Value.Vfloat f -> mix_float f
+    | Value.Vbool b -> mix (Bool.to_int b)
+    | Value.Vstring s -> mix (Hashtbl.hash s)
+    | Value.Vvec v ->
+        mix (Array.length v);
+        Array.iter mix_float v
+    | Value.Vtuple l ->
+        mix (List.length l);
+        List.iter mix_value l
+    | Value.Vindex k -> Array.iter mix k
+  in
+  Dist_array.iter
+    (fun key v ->
+      Array.iter mix key;
+      mix_value v)
+    inst.Orion.App.inst_iter;
+  List.iter
+    (fun (_, arr) -> Array.iter mix (Dist_array.dims arr))
+    inst.Orion.App.inst_arrays;
+  !h land max_int
+
 (* ------------------------------------------------------------------ *)
 (* The worker protocol                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -156,6 +191,10 @@ let serve (master : Transport.conn) ~(materialize : materialize) ~rank
     | Some i -> i
     | None -> fail "unknown app %S" p.p_app
   in
+  let digest = dataset_digest inst in
+  if digest <> p.p_dataset_digest then
+    fail "rank %d: dataset digest mismatch (worker %x, master %x)" rank digest
+      p.p_dataset_digest;
   let session = inst.Orion.App.inst_session in
   let plan = Orion.analyze_loop session inst.Orion.App.inst_loop in
   let compiled =

@@ -9,7 +9,7 @@
     except those whose last writer [q] owns, as (linearized key, value,
     version) triples; receivers apply them last-writer-wins by version.
     How the offered triples are filtered and encoded is a policy
-    {e value}, selected at runtime ([--comms], [ORION_COMMS]) and
+    {e value}, selected at runtime ([--comms]) and
     carried to every worker in the {!Wire.plan}:
 
     - [full] — ship every offered triple raw: the byte-accounting

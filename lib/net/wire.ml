@@ -39,8 +39,10 @@
    v6: dirty-element stamps replace the per-write journal — tokens and
        pass syncs carry (key, value, version) triples ([payload]);
        [Pass_report] and [Final_state] (was [Block_report]) carry the
-       current values of the elements each rank last wrote *)
-let version = 6
+       current values of the elements each rank last wrote
+   v7: plan carries [p_dataset_digest], checked by every worker against
+       the instance it rebuilt *)
+let version = 7
 
 (** The dirty elements of one DistArray as (linearized key, value,
     version) triples, ascending by key.  A version is [pass * blocks +
@@ -96,6 +98,10 @@ type plan = {
   p_fingerprint : int;
       (** {!Orion_runtime.Schedule.fingerprint} of the master's
           schedule; the worker must compile an identical one *)
+  p_dataset_digest : int;
+      (** [Dist_worker.dataset_digest] of the master's instance; the
+          schedule fingerprint covers keys only, so this is what
+          catches a worker rebuilding different values *)
   p_telemetry : bool;
       (** record wall-clock telemetry and ship {!Pass_telemetry}
           messages after each pass *)

@@ -59,21 +59,22 @@ let total_entries t =
       Array.fold_left (fun acc b -> acc + Array.length b.entries) acc row)
     0 t.blocks
 
-(** A structural fingerprint of the schedule: FNV-1a over the partition
-    counts and every block's entry keys in scheduled order.  Master and
+(* FNV-style, a word at a time; the offset basis is truncated to
+   OCaml's 63-bit int, and the shift folds high bits back down *)
+let hash_init = 0x4BF29CE484222325
+
+let hash_mix h x =
+  let v = (h lxor x) * 0x100000001B3 in
+  v lxor (v lsr 29)
+
+(** A structural fingerprint of the schedule over the partition counts
+    and every block's entry keys in scheduled order.  Master and
     workers compile their schedules independently from the same plan and
     data; comparing fingerprints catches any nondeterminism before a
     distributed pass executes divergent slices. *)
 let fingerprint t =
-  (* FNV-1a-style; offset basis truncated to OCaml's 63-bit int *)
-  let h = ref 0x4BF29CE484222325 in
-  let mix x =
-    (* fold the int in byte-wise so key order matters *)
-    for shift = 0 to 7 do
-      let byte = (x lsr (shift * 8)) land 0xFF in
-      h := (!h lxor byte) * 0x100000001B3
-    done
-  in
+  let h = ref hash_init in
+  let mix x = h := hash_mix !h x in
   mix t.space_parts;
   mix t.time_parts;
   Array.iter

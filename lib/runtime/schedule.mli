@@ -33,6 +33,13 @@ val total_entries : 'v t -> int
     executing. *)
 val fingerprint : 'v t -> int
 
+(** The hash {!fingerprint} folds with, for other digests of a run's
+    data: start from [hash_init] and fold one word at a time with
+    [hash_mix state word].  Order-sensitive. *)
+val hash_init : int
+
+val hash_mix : int -> int -> int
+
 val partition_1d :
   ?shuffle_seed:int ->
   'v Orion_dsm.Dist_array.t ->

@@ -16,6 +16,8 @@
     cluster only accounts for *when* each piece would have happened on
     the paper's testbed. *)
 
+open Orion_obs
+
 type t = {
   num_machines : int;
   workers_per_machine : int;

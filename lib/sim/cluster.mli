@@ -5,6 +5,8 @@
     categorized span on the cluster's {!Trace}; the optional [label]
     arguments name what the time was spent on. *)
 
+open Orion_obs
+
 type t = {
   num_machines : int;
   workers_per_machine : int;

@@ -95,6 +95,13 @@ let latest dir =
         let path = Filename.concat dir f in
         Some (path, load path)
 
+let mismatch s ~app ~scale =
+  if s.ck_app = app && s.ck_scale = scale then None
+  else
+    Some
+      (Printf.sprintf "was taken from app %s at scale %g, not app %s at scale %g"
+         s.ck_app s.ck_scale app scale)
+
 let restore s arrays =
   List.iter
     (fun (name, bytes) ->

@@ -51,6 +51,11 @@ val load : string -> snapshot
 (** The highest-pass checkpoint in [dir], if any. *)
 val latest : string -> (string * snapshot) option
 
+(** [None] when the snapshot was taken from app [app] at scale [scale];
+    otherwise why not, naming both sides.  A resume must refuse a
+    mismatch: the arrays would not fit the instance. *)
+val mismatch : snapshot -> app:string -> scale:float -> string option
+
 (** Write the snapshot's array contents back into a freshly built
     instance's arrays (matched by name; arrays absent from the snapshot
     are left untouched).

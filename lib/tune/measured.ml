@@ -61,55 +61,50 @@ let choice_label pred candidates ~default =
   | Some mc -> Plan.strategy_to_string mc.mc_candidate.Plan.cand_strategy
   | None -> default
 
-let run_app ~name ~domains ~passes ~scale ~num_machines ~workers_per_machine =
-  match Orion.App.find name with
-  | None -> Error (Printf.sprintf "unknown app %S" name)
-  | Some a -> (
-      let inst =
-        a.Orion.App.app_make ~scale ~num_machines ~workers_per_machine ()
-      in
-      let plan =
-        Orion.analyze_loop inst.Orion.App.inst_session
-          inst.Orion.App.inst_loop
-      in
-      let r =
-        Orion.Engine.run inst.Orion.App.inst_session inst
-          ~mode:(`Parallel domains) ~passes ~scale ~telemetry:true ()
-      in
-      match r.Orion.Engine.ep_telemetry with
-      | None -> Error "run produced no telemetry"
-      | Some sm -> (
-          let pass = passes - 1 in
-          match
-            Cost_table.of_costs ~sp:r.Orion.Engine.ep_space_parts ~pass
-              sm.Orion.Telemetry.sm_block_costs
-          with
-          | None -> Error "run produced no block-cost measurements"
-          | Some table ->
-              let candidates = recost table plan in
-              let static_choice =
-                choice_label
-                  (fun mc -> mc.mc_candidate.Plan.cand_chosen)
-                  candidates
-                  ~default:(Plan.strategy_to_string plan.Plan.strategy)
-              in
-              let measured_choice =
-                choice_label
-                  (fun mc -> mc.mc_measured_chosen)
-                  candidates ~default:static_choice
-              in
-              Ok
-                {
-                  mr_app = name;
-                  mr_mode = Printf.sprintf "parallel (%d domains)" domains;
-                  mr_workers = domains;
-                  mr_pass = pass;
-                  mr_table = table;
-                  mr_candidates = candidates;
-                  mr_static_choice = static_choice;
-                  mr_measured_choice = measured_choice;
-                  mr_flipped = static_choice <> measured_choice;
-                }))
+let run_app (spec : Orion_apps.Run_spec.t) =
+  let module S = Orion_apps.Run_spec in
+  let inst = S.instance spec in
+  let plan =
+    Orion.analyze_loop inst.Orion.App.inst_session inst.Orion.App.inst_loop
+  in
+  let r = S.run ~telemetry:true spec inst in
+  match r.Orion.Engine.ep_telemetry with
+  | None -> Error "run produced no telemetry"
+  | Some sm -> (
+      let pass = spec.S.common.S.passes - 1 in
+      match
+        Cost_table.of_costs ~sp:r.Orion.Engine.ep_space_parts ~pass
+          sm.Orion.Telemetry.sm_block_costs
+      with
+      | None -> Error "run produced no block-cost measurements"
+      | Some table ->
+          let candidates = recost table plan in
+          let static_choice =
+            choice_label
+              (fun mc -> mc.mc_candidate.Plan.cand_chosen)
+              candidates
+              ~default:(Plan.strategy_to_string plan.Plan.strategy)
+          in
+          let measured_choice =
+            choice_label
+              (fun mc -> mc.mc_measured_chosen)
+              candidates ~default:static_choice
+          in
+          Ok
+            {
+              mr_app = spec.S.app.Orion.App.app_name;
+              mr_mode =
+                (match spec.S.backend with
+                | `Parallel d -> Printf.sprintf "parallel (%d domains)" d
+                | mode -> Orion.Engine.mode_to_string mode);
+              mr_workers = S.workers spec;
+              mr_pass = pass;
+              mr_table = table;
+              mr_candidates = candidates;
+              mr_static_choice = static_choice;
+              mr_measured_choice = measured_choice;
+              mr_flipped = static_choice <> measured_choice;
+            })
 
 let pp_report fmt r =
   Fmt.pf fmt "=== measured decision tree: app %s, %s ===@." r.mr_app r.mr_mode;

@@ -32,16 +32,9 @@ type report = {
 (** Re-cost a plan's candidates against a measured table. *)
 val recost : Cost_table.t -> Orion.Plan.t -> measured_candidate list
 
-(** Run [name] for [passes] on [`Parallel domains] with telemetry and
-    build the measured report from the last pass's costs. *)
-val run_app :
-  name:string ->
-  domains:int ->
-  passes:int ->
-  scale:float ->
-  num_machines:int ->
-  workers_per_machine:int ->
-  (report, string) result
+(** Run the spec with telemetry and build the measured report from the
+    last pass's costs. *)
+val run_app : Orion_apps.Run_spec.t -> (report, string) result
 
 val pp_report : Format.formatter -> report -> unit
 val report_to_string : report -> string

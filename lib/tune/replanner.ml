@@ -76,7 +76,7 @@ let keep ~pass ~reason ?(observed = 0.0) ?(predicted = 0.0) ?boundaries
   }
 
 let make ?(margin = 0.1) ~(app : Orion.App.t) ~(inst : Orion.App.instance)
-    ~scale ~num_machines ~workers_per_machine () =
+    () =
   let plan = Orion.analyze_loop inst.Orion.App.inst_session inst.inst_loop in
   let compiled =
     Orion.compile inst.inst_session ~plan ~iter:inst.inst_iter ()
@@ -101,8 +101,11 @@ let make ?(margin = 0.1) ~(app : Orion.App.t) ~(inst : Orion.App.instance)
      one observation validates every candidate cut of the same data *)
   let edges =
     lazy
-      (let fresh =
-         app.Orion.App.app_make ~scale ~num_machines ~workers_per_machine ()
+      (let cluster = inst.inst_session.Orion.cluster in
+       let fresh =
+         app.Orion.App.app_make ~scale:inst.inst_scale
+           ~num_machines:cluster.Orion.Cluster.num_machines
+           ~workers_per_machine:cluster.Orion.Cluster.workers_per_machine ()
        in
        let log = Orion_verify.Verify.observe fresh in
        Orion_verify.Depobserve.edges ~ordered:plan.Plan.ordered

@@ -42,10 +42,9 @@ type t = {
     {!scripted} to replay the same schedule sequence statically. *)
 val adopted : t -> (int * Orion.Engine.replan) list
 
-(** The measurement-driven re-planner for one app instance.  [app],
-    [scale], [num_machines] and [workers_per_machine] must match how
-    [inst] was built: the race check serially observes a {e fresh}
-    instance (once, lazily) because observation mutates its arrays.
+(** The measurement-driven re-planner for one instance of [app].  The
+    race check serially observes a {e fresh} instance of the same scale
+    and shape (once, lazily) because observation mutates its arrays.
     [margin] (default 0.1) is the minimum predicted improvement of the
     max-partition cost before a re-balance is worth a migration; a
     measured straggler ratio under [1 + 2 margin] also keeps the
@@ -58,9 +57,6 @@ val make :
   ?margin:float ->
   app:Orion.App.t ->
   inst:Orion.App.instance ->
-  scale:float ->
-  num_machines:int ->
-  workers_per_machine:int ->
   unit ->
   t
 

@@ -8,8 +8,7 @@ module App = Orion.App
 module Engine = Orion.Engine
 module Report = Orion.Report
 module Bench = Orion_apps.Bench
-
-type mode = [ `Parallel of int | `Distributed of int * Engine.transport ]
+module Run_spec = Orion_apps.Run_spec
 
 type run_result = {
   tb_app : string;
@@ -82,67 +81,43 @@ let outputs_equal ~tolerance (a : App.instance) (b : App.instance) =
             (Orion_verify.Verify.diff_arrays name arr other))
     a.App.inst_outputs
 
-let run_app ~(app : App.t) ~(mode : mode) ~passes ~scale ~num_machines
-    ~workers_per_machine ?comms () =
-  let make, engine_mode, mode_str, workers =
-    match mode with
-    | `Parallel d ->
-        ( (fun () -> app.App.app_make ~scale ~num_machines ~workers_per_machine ()),
-          `Parallel d,
-          "parallel",
-          d )
-    | `Distributed (procs, transport) ->
-        ( (fun () ->
-            app.App.app_make ~scale ~num_machines:procs
-              ~workers_per_machine:1 ()),
-          `Distributed { Engine.procs; transport },
-          "distributed",
-          procs )
-  in
-  let obs_machines, obs_wpm =
-    match mode with
-    | `Parallel _ -> (num_machines, workers_per_machine)
-    | `Distributed (procs, _) -> (procs, 1)
-  in
+let mode_name (spec : Run_spec.t) =
+  match spec.Run_spec.backend with
+  | `Sim -> "sim"
+  | `Parallel _ -> "parallel"
+  | `Distributed _ -> "distributed"
+
+let run_app (spec : Run_spec.t) =
+  let app = spec.Run_spec.app in
   (* static baseline *)
-  let s_inst = make () in
-  let s_report =
-    Engine.run s_inst.App.inst_session s_inst ~mode:engine_mode ~passes
-      ~scale ~telemetry:true ?comms ()
-  in
+  let s_inst = Run_spec.instance spec in
+  let s_report = Run_spec.run ~telemetry:true spec s_inst in
   (* adaptive: measurement-driven re-planner *)
-  let a_inst = make () in
-  let rp =
-    Replanner.make ~app ~inst:a_inst ~scale ~num_machines:obs_machines
-      ~workers_per_machine:obs_wpm ()
-  in
+  let a_inst = Run_spec.instance spec in
+  let rp = Replanner.make ~app ~inst:a_inst () in
   (* the serial dependence observation validates candidates of every
      run of this app; do it before the clock starts *)
   rp.Replanner.prepare ();
   let a_report =
-    Engine.run a_inst.App.inst_session a_inst ~mode:engine_mode ~passes
-      ~scale ~telemetry:true ?comms ~replanner:rp.Replanner.fn ()
+    Run_spec.run ~telemetry:true ~replanner:rp.Replanner.fn spec a_inst
   in
   let decisions = rp.Replanner.log () in
   let adopted_script = Replanner.adopted rp in
   (* replay the adopted schedule sequence on a fresh instance; the
      adaptive run must be indistinguishable from this static-by-script
      run, bitwise or within the app's declared tolerance *)
-  let r_inst = make () in
+  let r_inst = Run_spec.instance spec in
   let replay = Replanner.scripted adopted_script in
-  let _ =
-    Engine.run r_inst.App.inst_session r_inst ~mode:engine_mode ~passes
-      ~scale ?comms ~replanner:replay.Replanner.fn ()
-  in
+  let _ = Run_spec.run ~replanner:replay.Replanner.fn spec r_inst in
   let equal =
     outputs_equal ~tolerance:app.App.app_tolerance a_inst r_inst
   in
   let adopted = List.filter (fun d -> d.Replanner.d_adopted) decisions in
   {
     tb_app = app.App.app_name;
-    tb_mode = mode_str;
-    tb_workers = workers;
-    tb_passes = passes;
+    tb_mode = mode_name spec;
+    tb_workers = Run_spec.workers spec;
+    tb_passes = spec.Run_spec.common.passes;
     tb_static_wall = s_report.Engine.ep_wall_seconds;
     tb_adaptive_wall = a_report.Engine.ep_wall_seconds;
     tb_speedup =
@@ -220,12 +195,12 @@ let pp_result fmt r =
 
 let default_out = "BENCH_tune.json"
 
-let to_row (r : run_result) ~comms : Bench.row =
+let to_row (common : Run_spec.common) (r : run_result) : Bench.row =
   {
     Bench.row_app = r.tb_app;
     row_mode = r.tb_mode;
     row_workers = r.tb_workers;
-    row_comms = (if r.tb_mode = "distributed" then comms else "local");
+    row_comms = (if r.tb_mode = "distributed" then common.comms else "local");
     row_wall_seconds = r.tb_adaptive_wall;
     row_speedup = Some r.tb_speedup;
     row_loss = None;
@@ -236,53 +211,29 @@ let to_row (r : run_result) ~comms : Bench.row =
     row_ok = Some (r.tb_replay_equal && r.tb_adopted_unvalidated = 0);
   }
 
-let run ?(apps = [ "slrskew" ]) ?(domains_list = [ 2 ]) ?(procs_list = [ 2 ])
-    ?(comms = "auto") ?(passes = 3) ?(transport = `Unix) ~scale ~out
-    ?(num_machines = 2) ?(workers_per_machine = 1) ?(print = true) () :
+let run ~out ?(print = true) (common : Run_spec.common) apps backends :
     Bench.row list =
-  Orion_apps.Registry.ensure ();
-  let selected =
-    List.filter_map
-      (fun n ->
-        match App.find n with
-        | Some a -> Some a
-        | None ->
-            Printf.eprintf "bench tune: unknown app %S (skipped)\n" n;
-            None)
-      apps
-  in
-  let modes : mode list =
-    List.filter_map
-      (fun d -> if d > 1 then Some (`Parallel d) else None)
-      domains_list
-    @ List.filter_map
-        (fun p -> if p > 1 then Some (`Distributed (p, transport)) else None)
-        procs_list
-  in
   let results =
     List.concat_map
-      (fun a ->
+      (fun app ->
         List.map
-          (fun mode ->
-            let r =
-              run_app ~app:a ~mode ~passes ~scale ~num_machines
-                ~workers_per_machine ~comms ()
-            in
+          (fun backend ->
+            let r = run_app (Run_spec.make common app backend) in
             if print then print_string (Fmt.str "%a" pp_result r);
             r)
-          modes)
-      selected
+          backends)
+      apps
   in
   let payload =
     Report.Obj
       [
         ("suite", Report.Str "tune");
-        ("scale", Report.Float scale);
-        ("passes", Report.Int passes);
+        ("scale", Report.Float common.scale);
+        ("passes", Report.Int common.passes);
         ("results", Report.List (List.map result_json results));
       ]
   in
-  let rows = List.map (to_row ~comms) results in
+  let rows = List.map (to_row common) results in
   Bench.write_file out
     (Report.emit ~kind:"bench-tune" (Bench.with_rows payload rows));
   if print then Printf.printf "wrote %s\n" out;

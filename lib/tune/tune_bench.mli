@@ -4,8 +4,6 @@
     adopted schedule sequence statically and check the results agree.
     [bench --mode tune] and [orion tune] are thin wrappers. *)
 
-type mode = [ `Parallel of int | `Distributed of int * Orion.Engine.transport ]
-
 type run_result = {
   tb_app : string;
   tb_mode : string;  (** ["parallel"] or ["distributed"] *)
@@ -38,38 +36,18 @@ type run_result = {
 val result_json : run_result -> Orion.Report.json
 val pp_result : Format.formatter -> run_result -> unit
 
-(** One static + adaptive + replay comparison.  [num_machines] /
-    [workers_per_machine] shape parallel instances; distributed
-    instances are one worker per machine, as everywhere else. *)
-val run_app :
-  app:Orion.App.t ->
-  mode:mode ->
-  passes:int ->
-  scale:float ->
-  num_machines:int ->
-  workers_per_machine:int ->
-  ?comms:string ->
-  unit ->
-  run_result
+(** One static + adaptive + replay comparison of the spec's run. *)
+val run_app : Orion_apps.Run_spec.t -> run_result
 
 val default_out : string
 
-(** The [bench --mode tune] suite: every listed app on every parallel
-    domain count > 1 and every distributed proc count > 1, written to
-    [out] as a versioned [bench-tune] envelope with the uniform bench
-    rows appended.  Default app: [slrskew] — the Zipf-skewed workload
-    the re-planner exists for. *)
+(** The [bench --mode tune] suite: {!run_app} on every app and
+    backend, every run sharing [common], written to [out] as a versioned
+    [bench-tune] envelope with the uniform bench rows appended. *)
 val run :
-  ?apps:string list ->
-  ?domains_list:int list ->
-  ?procs_list:int list ->
-  ?comms:string ->
-  ?passes:int ->
-  ?transport:Orion.Engine.transport ->
-  scale:float ->
   out:string ->
-  ?num_machines:int ->
-  ?workers_per_machine:int ->
   ?print:bool ->
-  unit ->
+  Orion_apps.Run_spec.common ->
+  Orion.App.t list ->
+  Orion.Engine.mode list ->
   Orion_apps.Bench.row list

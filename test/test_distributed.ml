@@ -761,9 +761,30 @@ let final_gather_is_model_sized () =
     (one > 0.0);
   Alcotest.(check (float 0.0)) "gather bytes do not grow with passes" one ten
 
-(* [orion trace --mode distributed] passes its --scale through, so the
-   workers rebuild the same schedule at any scale *)
-let cli_distributed_trace_at_scale () =
+(* Every subcommand that accepts --procs builds its instances through
+   one run spec, so the workers rebuild the master's data at any scale.
+   Each row: a name, the subcommand's arguments (OUT and CSV are
+   temporary files, which must be non-empty afterwards), and a line
+   its output must contain. *)
+let cli_at_scale =
+  [
+    ("run", [ "run"; "--app"; "mf" ], "mode distributed(2,unix)");
+    ( "trace",
+      [
+        "trace"; "--mode"; "distributed"; "--app"; "mf"; "--out"; "OUT";
+        "--csv"; "CSV";
+      ],
+      "distributed (2 procs)" );
+    ("tune", [ "tune"; "--mode"; "distributed" ], "distributed 2 workers");
+    ( "bench speedup-distributed",
+      [ "bench"; "--mode"; "speedup-distributed"; "--app"; "mf"; "-o"; "OUT" ],
+      "results match sim" );
+    ( "bench convergence",
+      [ "bench"; "--mode"; "convergence"; "--app"; "mf"; "-o"; "OUT" ],
+      "mf   distributed(2,unix) pass  2" );
+  ]
+
+let cli_distributed_at_scale args expected () =
   let exe =
     let candidates =
       [
@@ -778,25 +799,79 @@ let cli_distributed_trace_at_scale () =
     | None ->
         Alcotest.failf "orion_cli.exe not found near %s" Sys.executable_name
   in
-  let out = Filename.temp_file "orion-trace" ".json" in
-  let csv = Filename.temp_file "orion-trace" ".csv" in
+  let files =
+    List.filter_map
+      (fun a ->
+        if a = "OUT" || a = "CSV" then
+          Some (a, Filename.temp_file "orion-cli" a)
+        else None)
+      args
+  in
+  let stdout = Filename.temp_file "orion-cli" ".txt" in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove out;
-      Sys.remove csv)
+      List.iter (fun (_, f) -> Sys.remove f) files;
+      Sys.remove stdout)
     (fun () ->
+      let args =
+        List.map (fun a -> Option.value (List.assoc_opt a files) ~default:a) args
+        @ [ "--procs"; "2"; "--scale"; "3"; "--passes"; "2" ]
+      in
+      (* exec'd workers: a process that ran the domain pool cannot fork *)
       let code =
         Sys.command
-          (Filename.quote_command exe
-             ~stdout:Filename.null
-             [
-               "trace"; "--mode"; "distributed"; "--app"; "mf"; "--procs"; "2";
-               "--passes"; "1"; "--scale"; "3"; "--out"; out; "--csv"; csv;
-             ])
+          (Printf.sprintf "%s= %s" Orion_net.Dist_master.spawn_env
+             (Filename.quote_command exe ~stdout args))
       in
-      Alcotest.(check int) "trace at --scale 3 exits 0" 0 code;
-      Alcotest.(check bool) "trace file written" true
-        ((Unix.stat out).Unix.st_size > 0))
+      Alcotest.(check int) (String.concat " " args ^ " exits 0") 0 code;
+      List.iter
+        (fun (a, f) ->
+          Alcotest.(check bool) (a ^ " file written") true
+            ((Unix.stat f).Unix.st_size > 0))
+        files;
+      let ic = open_in stdout in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let contains s sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "output mentions %S" expected)
+        true (contains text expected))
+
+(* ------------------------------------------------------------------ *)
+(* Workers check the dataset, not only the schedule                     *)
+(* ------------------------------------------------------------------ *)
+
+(* the schedule fingerprint hashes keys only: a master whose ratings
+   differ from what the workers rebuild must fail by the dataset
+   digest, naming the worker *)
+let dataset_digest_mismatch () =
+  let app = find_app "mf" in
+  let inst = app.Orion.App.app_make ~num_machines:2 ~workers_per_machine:1 () in
+  let iter = inst.Orion.App.inst_iter in
+  let keys = ref [] in
+  Orion.Dist_array.iter (fun k _ -> keys := k :: !keys) iter;
+  List.iter (fun k -> Orion.Dist_array.set iter k (Orion.Value.Vfloat 5.0)) !keys;
+  match
+    Orion.Engine.run inst.Orion.App.inst_session inst
+      ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
+      ~passes:2 ()
+  with
+  | _ -> Alcotest.fail "workers trained on data the master does not hold"
+  | exception Orion.Engine.Distributed_error { de_rank; de_reason } ->
+      Alcotest.(check bool) "a worker is named" true (de_rank <> None);
+      let rank = Option.get de_rank in
+      let prefix = Printf.sprintf "rank %d: dataset digest" rank in
+      Alcotest.(check bool)
+        (Printf.sprintf "reason %S starts with %S" de_reason prefix)
+        true
+        (String.length de_reason >= String.length prefix
+        && String.sub de_reason 0 (String.length prefix) = prefix)
 
 (* ------------------------------------------------------------------ *)
 (* Failure path: a worker aborting mid-pass surfaces as a structured   *)
@@ -974,8 +1049,15 @@ let () =
           tc "2-proc merged timeline is clock-aligned" `Quick
             distributed_telemetry_merged_timeline;
           tc "traced run reports marshal time" `Quick distributed_marshal_time;
-          tc "cli trace at --scale 3" `Quick cli_distributed_trace_at_scale;
-        ] );
+        ]
+        @ List.map
+            (fun (name, args, expected) ->
+              tc
+                (Printf.sprintf "cli %s at --scale 3" name)
+                `Quick
+                (cli_distributed_at_scale args expected))
+            cli_at_scale );
+      ("dataset", [ tc "master data differs" `Quick dataset_digest_mismatch ]);
       ( "final_gather",
         [ tc "mf gather is O(model)" `Quick final_gather_is_model_sized ] );
       ("failure", [ tc "worker abort mid-pass" `Quick fault_injection ]);

@@ -362,6 +362,22 @@ let test_trace_envelope_golden () =
 
 (* ------------------------------------------------------------------ *)
 
+(* the instance carries its scale; [Engine.run ~scale] may only echo it *)
+let test_scale_must_echo_instance () =
+  let app = find_app "gbt" in
+  let inst =
+    app.Orion.App.app_make ~scale:2.0 ~num_machines:2 ~workers_per_machine:2 ()
+  in
+  Alcotest.(check (float 0.0)) "instance records its scale" 2.0
+    inst.Orion.App.inst_scale;
+  Alcotest.check_raises "a different ~scale is rejected"
+    (Invalid_argument
+       "Engine.run: ~scale 1 differs from the instance's scale 2")
+    (fun () ->
+      ignore
+        (Orion.Engine.run inst.Orion.App.inst_session inst ~mode:`Sim
+           ~scale:1.0 ()))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -382,6 +398,8 @@ let () =
           tc "slr" `Slow (parallel_matches_sim "slr");
           tc "lda" `Slow (parallel_matches_sim "lda");
           tc "gbt" `Quick (parallel_matches_sim "gbt");
+          tc "~scale must echo the instance" `Quick
+            test_scale_must_echo_instance;
         ] );
       ( "no_compile_fallback",
         [

@@ -330,6 +330,24 @@ let test_checkpoint_roundtrip () =
           Alcotest.(check int) "total passes" 5 got.Checkpoint.ck_total_passes;
           Alcotest.(check string) "app" "mf" got.Checkpoint.ck_app;
           Alcotest.(check int64) "rng" 123456789L got.Checkpoint.ck_rng;
+          (* a resume must refuse another app or scale, naming both *)
+          List.iter
+            (fun (app, scale, expected) ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "resume as %s at scale %g" app scale)
+                expected
+                (Checkpoint.mismatch got ~app ~scale))
+            [
+              ("mf", 2.0, None);
+              ( "mf",
+                1.0,
+                Some "was taken from app mf at scale 2, not app mf at scale 1"
+              );
+              ( "lda",
+                2.0,
+                Some "was taken from app mf at scale 2, not app lda at scale 2"
+              );
+            ];
           let d2 = Dist_array.fill_dense ~name:"d" ~dims:[| 4; 3 |] 0.0 in
           let s2 =
             Dist_array.create_sparse ~name:"s" ~dims:[| 100 |] ~default:0.0

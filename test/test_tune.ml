@@ -193,8 +193,11 @@ let test_random_rebalance_race_clean () =
 let test_adaptive_parallel () =
   let app = find_app "slrskew" in
   let r =
-    Orion_tune.Tune_bench.run_app ~app ~mode:(`Parallel 2) ~passes:3
-      ~scale:2.0 ~num_machines:2 ~workers_per_machine:1 ()
+    Orion_tune.Tune_bench.run_app
+      (Orion_apps.Run_spec.make
+         (Orion_apps.Run_spec.common ~scale:2.0 ~passes:3 ~machines:2
+            ~workers_per_machine:1 ())
+         app (`Parallel 2))
   in
   (* the re-planner runs at pass boundaries: passes - 1 of them *)
   Alcotest.(check int) "every decision logged" 2
@@ -207,8 +210,11 @@ let test_adaptive_parallel () =
 let test_adaptive_distributed () =
   let app = find_app "slrskew" in
   let r =
-    Orion_tune.Tune_bench.run_app ~app ~mode:(`Distributed (2, `Unix))
-      ~passes:3 ~scale:2.0 ~num_machines:2 ~workers_per_machine:1 ()
+    Orion_tune.Tune_bench.run_app
+      (Orion_apps.Run_spec.make
+         (Orion_apps.Run_spec.common ~scale:2.0 ~passes:3 ())
+         app
+         (`Distributed { Orion.Engine.procs = 2; transport = `Unix }))
   in
   Alcotest.(check int) "no adopted re-plan skipped validation" 0
     r.Orion_tune.Tune_bench.tb_adopted_unvalidated;
@@ -228,7 +234,7 @@ let test_distributed_migration_preserves_result () =
   let _ =
     Orion.Engine.run s_inst.Orion.App.inst_session s_inst
       ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
-      ~passes:3 ~scale:2.0 ()
+      ~passes:3 ()
   in
   let m_inst = make () in
   let n = m_inst.Orion.App.inst_iter.Orion_dsm.Dist_array.dims.(0) in
@@ -244,7 +250,7 @@ let test_distributed_migration_preserves_result () =
   let _ =
     Orion.Engine.run m_inst.Orion.App.inst_session m_inst
       ~mode:(`Distributed { Orion.Engine.procs = 2; transport = `Unix })
-      ~passes:3 ~scale:2.0 ~replanner:replay.Orion_tune.Replanner.fn ()
+      ~passes:3 ~replanner:replay.Orion_tune.Replanner.fn ()
   in
   List.iter
     (fun (name, arr) ->
