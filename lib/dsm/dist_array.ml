@@ -62,6 +62,12 @@ let check_dims name dims =
   in
   check 1 (Array.to_list dims)
 
+let out_of_bounds t k i =
+  raise
+    (Out_of_bounds
+       (Printf.sprintf "%s: index %d out of bounds for dim %d (size %d)" t.name
+          k i t.dims.(i)))
+
 let linearize t key =
   let n = Array.length t.dims in
   if Array.length key <> n then
@@ -72,14 +78,20 @@ let linearize t key =
   let acc = ref 0 in
   for i = 0 to n - 1 do
     let k = key.(i) in
-    if k < 0 || k >= t.dims.(i) then
-      raise
-        (Out_of_bounds
-           (Printf.sprintf "%s: index %d out of bounds for dim %d (size %d)"
-              t.name k i t.dims.(i)));
+    if k < 0 || k >= t.dims.(i) then out_of_bounds t k i;
     acc := !acc + (k * t.strides.(i))
   done;
   !acc
+
+let linearize2 t i j =
+  if Array.length t.dims <> 2 then
+    raise
+      (Dimension_mismatch
+         (Printf.sprintf "%s: key has 2 dims, array has %d" t.name
+            (Array.length t.dims)));
+  if i < 0 || i >= t.dims.(0) then out_of_bounds t i 0;
+  if j < 0 || j >= t.dims.(1) then out_of_bounds t j 1;
+  (i * t.strides.(0)) + j
 
 let delinearize t lin =
   Array.mapi (fun i _ -> lin / t.strides.(i) mod t.dims.(i)) t.dims
@@ -355,103 +367,125 @@ let group_by ~dim t =
 (* Set queries on float arrays (for the interpreter and apps)          *)
 (* ------------------------------------------------------------------ *)
 
-(** Extract the 1-D slice of a float DistArray where exactly one
-    subscript is a range/All and the rest are points, e.g. [W\[:, j\]]. *)
-let slice_vec (t : float t) (subs : Orion_lang.Value.concrete_sub array) :
-    float array =
+(* A slice is the run of elements from key [lo] along dimension [d] up
+   to index [hi] inclusive: flat offsets [base + k * strides.(d)].  An
+   empty run ([hi = lo.(d) - 1]) touches nothing, not even a bounds
+   check; a non-empty one is checked whole before any element is read
+   or written, and the error names the first out-of-bounds key in
+   order: [lo] itself, else the first index past the end of [d]. *)
+let slice_len t lo d hi =
+  let len = hi - lo.(d) + 1 in
+  if len < 0 then
+    raise
+      (Out_of_bounds
+         (Printf.sprintf "%s: reversed range %d:%d in dim %d" t.name lo.(d) hi
+            d));
+  len
+
+let slice_base t lo d hi =
+  let base = linearize t lo in
+  if hi >= t.dims.(d) then out_of_bounds t t.dims.(d) d;
+  base
+
+(* the elements of the slice [lo .. hi] along [d], as a fresh vector *)
+let get_slice (t : float t) lo d hi =
+  let len = slice_len t lo d hi in
+  if len = 0 then [||]
+  else begin
+    let base = slice_base t lo d hi in
+    let stride = t.strides.(d) in
+    let out = Array.create_float len in
+    (match t.storage with
+    | Dense a ->
+        for k = 0 to len - 1 do
+          Array.unsafe_set out k a.(base + (k * stride))
+        done
+    | Sparse _ ->
+        for k = 0 to len - 1 do
+          Array.unsafe_set out k (get_lin t (base + (k * stride)))
+        done);
+    out
+  end
+
+(* write [v] over the slice [lo .. hi] along [d], handing each written
+   element's linearized key to [stamp], in write order *)
+let set_slice ~stamp (t : float t) lo d hi (v : float array) =
+  let len = slice_len t lo d hi in
+  if Array.length v <> len then
+    raise (Dimension_mismatch (t.name ^ ": slice length mismatch"));
+  if len > 0 then begin
+    let base = slice_base t lo d hi in
+    let stride = t.strides.(d) in
+    for k = 0 to len - 1 do
+      let lin = base + (k * stride) in
+      set_lin t lin (Array.unsafe_get v k);
+      stamp lin
+    done
+  end
+
+(* The slice form of concrete subscripts: the low key, the range
+   dimension (-1 when every subscript is a point) and the range end.
+   [strict] rejects a second range; otherwise the last one wins. *)
+let slice_of_subs ~strict (t : float t)
+    (subs : Orion_lang.Value.concrete_sub array) =
   let n = Array.length t.dims in
   if Array.length subs <> n then
     raise (Dimension_mismatch (t.name ^ ": bad subscript arity"));
-  let var_dim = ref (-1) in
-  let lo = Array.make n 0 in
-  let hi = Array.make n 0 in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Orion_lang.Value.Cpoint p ->
-          lo.(i) <- p;
-          hi.(i) <- p
-      | Orion_lang.Value.Crange (a, b) ->
-          if !var_dim >= 0 then
+  let d = ref (-1) and hi = ref 0 in
+  let lo =
+    Array.mapi
+      (fun i s ->
+        let range a b =
+          if strict && !d >= 0 then
             raise (Dimension_mismatch (t.name ^ ": multiple range subscripts"));
-          var_dim := i;
-          lo.(i) <- a;
-          hi.(i) <- b
-      | Orion_lang.Value.Call_dim ->
-          if !var_dim >= 0 then
-            raise (Dimension_mismatch (t.name ^ ": multiple range subscripts"));
-          var_dim := i;
-          lo.(i) <- 0;
-          hi.(i) <- t.dims.(i) - 1)
-    subs;
-  if !var_dim < 0 then [| get t lo |]
-  else
-    let d = !var_dim in
-    Array.init
-      (hi.(d) - lo.(d) + 1)
-      (fun k ->
-        let key = Array.copy lo in
-        key.(d) <- lo.(d) + k;
-        get t key)
+          d := i;
+          hi := b;
+          a
+        in
+        match s with
+        | Orion_lang.Value.Cpoint p -> p
+        | Orion_lang.Value.Crange (a, b) -> range a b
+        | Orion_lang.Value.Call_dim -> range 0 (t.dims.(i) - 1))
+      subs
+  in
+  (lo, !d, !hi)
 
-let set_slice_vec (t : float t) (subs : Orion_lang.Value.concrete_sub array)
-    (v : float array) =
-  let n = Array.length t.dims in
-  let var_dim = ref (-1) in
-  let lo = Array.make n 0 in
-  let hi = Array.make n 0 in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | Orion_lang.Value.Cpoint p ->
-          lo.(i) <- p;
-          hi.(i) <- p
-      | Orion_lang.Value.Crange (a, b) ->
-          var_dim := i;
-          lo.(i) <- a;
-          hi.(i) <- b
-      | Orion_lang.Value.Call_dim ->
-          var_dim := i;
-          lo.(i) <- 0;
-          hi.(i) <- t.dims.(i) - 1)
-    subs;
-  if !var_dim < 0 then set t lo v.(0)
-  else begin
-    let d = !var_dim in
-    let len = hi.(d) - lo.(d) + 1 in
-    if Array.length v <> len then
-      raise (Dimension_mismatch (t.name ^ ": slice length mismatch"));
-    for k = 0 to len - 1 do
-      let key = Array.copy lo in
-      key.(d) <- lo.(d) + k;
-      set t key v.(k)
-    done
+(** Extract the 1-D slice of a float DistArray where exactly one
+    subscript is a range/All and the rest are points, e.g. [W\[:, j\]]. *)
+let slice_vec (t : float t) subs : float array =
+  let lo, d, hi = slice_of_subs ~strict:true t subs in
+  if d < 0 then [| get t lo |] else get_slice t lo d hi
+
+let set_slice_vec_stamped ~stamp (t : float t) subs (v : float array) =
+  let lo, d, hi = slice_of_subs ~strict:false t subs in
+  if d < 0 then begin
+    let x = v.(0) in
+    let lin = linearize t lo in
+    set_lin t lin x;
+    stamp lin
   end
+  else set_slice ~stamp t lo d hi v
+
+let set_slice_vec t subs v = set_slice_vec_stamped ~stamp:ignore t subs v
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter bridge                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Expose a float DistArray to interpreted OrionScript code.  Optional
-    [on_get]/[on_set] hooks let the runtime charge communication or
-    record accesses.  When neither hook is supplied, the extern also
-    carries {!Orion_lang.Value.fast_access} point accessors so compiled
-    loop bodies bypass the boxed path entirely (a hooked extern must
-    not, because the fast path would skip the hooks). *)
-let to_extern ?on_get ?on_set (t : float t) : Orion_lang.Value.extern =
+(* The extern of [t] with every element write followed by [stamp lin];
+   [fast] adds the unboxed accessors. *)
+let make_extern ~stamp ~fast ~on_get ~on_set (t : float t) :
+    Orion_lang.Value.extern =
   let module V = Orion_lang.Value in
-  let fast =
-    match (on_get, on_set) with
-    | None, None ->
-        (* [get]/[set] linearize (and bounds-check) immediately and do
-           not retain the key array, so callers may reuse a key buffer *)
-        Some { V.fa_get = get t; fa_set = set t }
-    | _ -> None
+  let points subs =
+    if Array.for_all (function V.Cpoint _ -> true | _ -> false) subs then
+      Some (Array.map (function V.Cpoint p -> p | _ -> 0) subs)
+    else None
   in
-  let on_get = Option.value on_get ~default:(fun _ -> ()) in
-  let on_set = Option.value on_set ~default:(fun _ -> ()) in
-  let all_points subs =
-    Array.for_all (function V.Cpoint _ -> true | _ -> false) subs
+  let set_point key f =
+    let lin = linearize t key in
+    set_lin t lin f;
+    stamp lin
   in
   {
     V.ex_name = t.name;
@@ -459,49 +493,41 @@ let to_extern ?on_get ?on_set (t : float t) : Orion_lang.Value.extern =
     ex_get =
       (fun subs ->
         on_get subs;
-        if all_points subs then
-          V.Vfloat
-            (get t (Array.map (function V.Cpoint p -> p | _ -> 0) subs))
-        else V.Vvec (slice_vec t subs));
+        match points subs with
+        | Some key -> V.Vfloat (get t key)
+        | None -> V.Vvec (slice_vec t subs));
     ex_set =
       (fun subs v ->
         on_set subs;
-        match v with
-        | V.Vfloat f when all_points subs ->
-            set t (Array.map (function V.Cpoint p -> p | _ -> 0) subs) f
-        | V.Vint i when all_points subs ->
-            set t
-              (Array.map (function V.Cpoint p -> p | _ -> 0) subs)
-              (float_of_int i)
-        | _ -> set_slice_vec t subs (V.to_vec v));
+        match (v, points subs) with
+        | V.Vfloat f, Some key -> set_point key f
+        | V.Vint i, Some key -> set_point key (float_of_int i)
+        | _ -> set_slice_vec_stamped ~stamp t subs (V.to_vec v));
     ex_iter = (fun f -> iter (fun key v -> f key (V.Vfloat v)) t);
     ex_count = (fun () -> count t);
-    ex_fast = fast;
+    ex_fast =
+      (if fast then
+         Some
+           {
+             V.fa_get = get t;
+             fa_set = set_point;
+             fa_get_slice = get_slice t;
+             fa_set_slice = set_slice ~stamp t;
+           }
+       else None);
   }
 
-(* The linearized keys a successful [set_slice_vec t subs] wrote: the
-   last range dimension runs over its range, every other dimension
-   sits at its point or range start. *)
-let iter_sub_lins t (subs : Orion_lang.Value.concrete_sub array) f =
-  let base = ref 0 and stride = ref 0 and len = ref 1 in
-  Array.iteri
-    (fun i s ->
-      let lo, hi =
-        match s with
-        | Orion_lang.Value.Cpoint p -> (p, p)
-        | Orion_lang.Value.Crange (a, b) -> (a, b)
-        | Orion_lang.Value.Call_dim -> (0, t.dims.(i) - 1)
-      in
-      base := !base + (lo * t.strides.(i));
-      match s with
-      | Orion_lang.Value.Cpoint _ -> ()
-      | _ ->
-          stride := t.strides.(i);
-          len := hi - lo + 1)
-    subs;
-  for k = 0 to !len - 1 do
-    f (!base + (k * !stride))
-  done
+(** Expose a float DistArray to interpreted OrionScript code.  Optional
+    [on_get]/[on_set] hooks let the runtime charge communication or
+    record accesses.  When neither hook is supplied, the extern also
+    carries {!Orion_lang.Value.fast_access} point and slice accessors so
+    compiled loop bodies bypass the boxed path entirely (a hooked extern
+    must not, because the fast path would skip the hooks). *)
+let to_extern ?on_get ?on_set (t : float t) : Orion_lang.Value.extern =
+  let fast = Option.is_none on_get && Option.is_none on_set in
+  let hook = Option.value ~default:ignore in
+  make_extern ~stamp:ignore ~fast ~on_get:(hook on_get) ~on_set:(hook on_set)
+    t
 
 (** {!to_extern} for the distributed worker: every element write, on
     the boxed and the unboxed path alike, is followed by [stamp lin]
@@ -509,25 +535,7 @@ let iter_sub_lins t (subs : Orion_lang.Value.concrete_sub array) f =
     involved, so compiled kernels keep their fast path. *)
 let to_stamped_extern ~(stamp : int -> unit) (t : float t) :
     Orion_lang.Value.extern =
-  let module V = Orion_lang.Value in
-  let ex = to_extern t in
-  {
-    ex with
-    V.ex_set =
-      (fun subs v ->
-        ex.V.ex_set subs v;
-        iter_sub_lins t subs stamp);
-    ex_fast =
-      Some
-        {
-          V.fa_get = get t;
-          fa_set =
-            (fun key v ->
-              let lin = linearize t key in
-              set_lin t lin v;
-              stamp lin);
-        };
-  }
+  make_extern ~stamp ~fast:true ~on_get:ignore ~on_set:ignore t
 
 (** Expose a sparse DistArray with arbitrary element type by converting
     values with [to_value] (iteration only — e.g. SLR samples). *)

@@ -31,6 +31,10 @@ type 'a t = {
     @raise Out_of_bounds / Dimension_mismatch on bad keys. *)
 val linearize : 'a t -> int array -> int
 
+(** [linearize t [|i; j|]] for a 2-D array, without building the key:
+    the same checks and exceptions. *)
+val linearize2 : 'a t -> int -> int -> int
+
 val delinearize : 'a t -> int -> int array
 
 (** {1 Creation} *)
@@ -116,16 +120,27 @@ val group_by : dim:int -> 'a t -> (int * (int array * 'a) list) list
 
 (** {1 Set queries on float arrays} *)
 
-(** Extract a 1-D slice where at most one subscript is a range. *)
+(** Extract a 1-D slice where at most one subscript is a range.  Slices
+    are read and written by flat offset.  An empty range
+    ([Crange (lo, lo - 1)]) touches nothing and checks nothing; a
+    reversed one raises {!Out_of_bounds}; a write checks the vector's
+    length ({!Dimension_mismatch}) and every bound before the first
+    element changes, and a bounds error names the first out-of-bounds
+    key in order. *)
 val slice_vec : float t -> Orion_lang.Value.concrete_sub array -> float array
 
+(** Write a 1-D slice; with several range subscripts the last one is
+    the slice dimension and the others sit at their start. *)
 val set_slice_vec :
   float t -> Orion_lang.Value.concrete_sub array -> float array -> unit
 
 (** {1 Interpreter bridge} *)
 
 (** Expose a float DistArray to interpreted code; the hooks let the
-    runtime charge or record accesses. *)
+    runtime charge or record accesses.  Without hooks the extern also
+    carries the unboxed point and slice accessors compiled kernels use
+    ({!Orion_lang.Value.fast_access}), which share the boxed path's
+    code and so its results and exceptions. *)
 val to_extern :
   ?on_get:(Orion_lang.Value.concrete_sub array -> unit) ->
   ?on_set:(Orion_lang.Value.concrete_sub array -> unit) ->

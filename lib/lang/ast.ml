@@ -125,16 +125,28 @@ and fold_stmt f acc stmt =
   | For { body; _ } -> fold_stmts f acc body
   | While (_, body) -> fold_stmts f acc body
 
-(** Names assigned anywhere in a block (scalar variables and array bases). *)
-let assigned_names block =
+(** Names a block rebinds anywhere: [x = e], [x op= e] and loop
+    variables.  An indexed write [A\[...\] = e] does not rebind [A]. *)
+let rebound_names block =
   fold_stmts
     (fun acc stmt ->
       match stmt.sk with
       | Assign (Lvar v, _) | Op_assign (_, Lvar v, _) -> v :: acc
-      | Assign (Lindex (v, _), _) | Op_assign (_, Lindex (v, _), _) ->
-          v :: acc
       | For { kind = Range_loop { var; _ }; _ } -> var :: acc
       | For { kind = Each_loop { key; value; _ }; _ } -> key :: value :: acc
-      | If _ | While _ | Expr_stmt _ | Break | Continue -> acc)
+      | Assign (Lindex _, _) | Op_assign (_, Lindex _, _) | If _ | While _
+      | Expr_stmt _ | Break | Continue ->
+          acc)
     [] block
+  |> List.sort_uniq String.compare
+
+(** Names assigned anywhere in a block: the rebound ones and the bases
+    of indexed writes. *)
+let assigned_names block =
+  fold_stmts
+    (fun acc stmt ->
+      match stmt.sk with
+      | Assign (Lindex (v, _), _) | Op_assign (_, Lindex (v, _), _) -> v :: acc
+      | _ -> acc)
+    (rebound_names block) block
   |> List.sort_uniq String.compare

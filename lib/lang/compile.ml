@@ -5,11 +5,17 @@
     turning the body into a tree of OCaml closures:
 
     - variables resolve to mutable {e slots} (array cells) instead of
-      per-access hashtable lookups;
-    - DistArray point subscripts resolve through the host's unboxed
-      {!Value.fast_access} accessors (flat-offset get/set on the
-      underlying float storage) with a reused key buffer, when no
-      profile or access hook needs to observe the access;
+      per-access hashtable lookups.  A name is a {e local} only if the
+      body rebinds it ([x = e], [x op= e], a loop variable, the key or
+      value variable); an indexed write [A\[...\] = e] does not rebind
+      [A], so a DistArray the body writes stays a captured global;
+    - on a captured DistArray with unboxed {!Value.fast_access}
+      accessors, point subscripts [A\[i, j\]] and slices with exactly
+      one [:] or [lo:hi] subscript and points elsewhere ([A\[:, j\]],
+      [A\[i, lo:hi\]]) read and write through them (flat-offset
+      access to the float storage, no boxed subscripts) with a reused
+      key buffer, when no profile or access hook needs to observe the
+      access.  A name both rebound and indexed keeps the generic path;
     - a small static type inference (fixpoint over the body) finds
       scalar [int]/[float] expressions and compiles them unboxed;
     - builtins devirtualize to direct closures at compile time.
@@ -73,7 +79,7 @@ let ty_of_value = function
 
 type slot = {
   sl_name : string;
-  sl_local : bool;  (** assigned somewhere in the body (or a loop var) *)
+  sl_local : bool;  (** rebound somewhere in the body (or a loop var) *)
   mutable sl_v : Value.t;
   mutable sl_defined : bool;
   mutable sl_ty : ty;
@@ -168,21 +174,35 @@ let referenced_names body =
 
 let all_points subs = List.for_all (function Sub_expr _ -> true | _ -> false) subs
 
-(* is [base[subs]] a point read of a compile-time-captured DistArray
-   with an unboxed fast path?  (the only extern reads whose result type
-   — Vfloat — is statically guaranteed; see {!Value.fast_access}) *)
-let fast_extern_read ctx base subs =
+(* a compile-time-captured DistArray with unboxed accessors, indexed
+   with one subscript per dimension *)
+let fast_extern ctx base subs =
   match base with
   | Var v -> (
       match Hashtbl.find_opt ctx.slots v with
       | Some s when (not s.sl_local) && s.sl_defined -> (
           match s.sl_v with
-          | Vextern ex
-            when all_points subs
-                 && List.length subs = Array.length ex.ex_dims ->
+          | Vextern ex when List.length subs = Array.length ex.ex_dims ->
               Option.map (fun fa -> (s, ex, fa)) ex.ex_fast
           | _ -> None)
       | _ -> None)
+  | _ -> None
+
+(* is [base[subs]] a point read of a fast extern?  (the only extern
+   reads whose result type — Vfloat — is statically guaranteed; see
+   {!Value.fast_access}) *)
+let fast_extern_read ctx base subs =
+  if all_points subs then fast_extern ctx base subs else None
+
+(* the dimension of the one [:]/[lo:hi] subscript among points *)
+let slice_dim subs =
+  match
+    List.concat
+      (List.mapi
+         (fun i -> function Sub_all | Sub_range _ -> [ i ] | Sub_expr _ -> [])
+         subs)
+  with
+  | [ d ] -> Some d
   | _ -> None
 
 let rec infer ctx e : ty =
@@ -302,6 +322,32 @@ let eval_csubs (ks : csub array) : Value.concrete_sub array =
           Crange (lo, h ()))
   done;
   out
+
+(* the compiled subscripts of a slice on a fast extern: [fsl_ps] fill
+   the low key (the range start at [fsl_dim]), [fsl_hi] gives the range
+   end, and [fsl_ks] are the same closures as boxed subscripts, for the
+   hooked path *)
+type fast_slice = {
+  fsl_fa : Value.fast_access;
+  fsl_ps : (unit -> int) array;
+  fsl_dim : int;
+  fsl_hi : unit -> int;
+  fsl_buf : int array;
+  fsl_ks : csub array;
+}
+
+(* evaluate a slice's subscripts into its key buffer in the
+   interpreter's order (left to right, lo before hi); returns hi *)
+let fill_slice f =
+  let d = f.fsl_dim in
+  for i = 0 to d do
+    f.fsl_buf.(i) <- f.fsl_ps.(i) ()
+  done;
+  let hi = f.fsl_hi () in
+  for i = d + 1 to Array.length f.fsl_ps - 1 do
+    f.fsl_buf.(i) <- f.fsl_ps.(i) ()
+  done;
+  hi
 
 (* ------------------------------------------------------------------ *)
 (* Shared runtime fragments (mirrors of the interpreter's dispatch)    *)
@@ -818,12 +864,50 @@ and compile_csub ctx = function
   | Sub_expr e -> Kpoint (compile_point ctx e)
   | Sub_range (lo, hi) -> Krange (compile_point ctx lo, compile_point ctx hi)
 
+(* [base[subs]] as a slice of a fast extern, when it is one *)
+and fast_slice ctx base subs : (slot * extern * fast_slice) option =
+  match slice_dim subs with
+  | None -> None
+  | Some d -> (
+      match fast_extern ctx base subs with
+      | None -> None
+      | Some (s, ex, fa) ->
+          let ks = Array.of_list (List.map (compile_csub ctx) subs) in
+          let start = function
+            | Kpoint f | Krange (f, _) -> f
+            | Kall -> fun () -> 0
+          in
+          let hi =
+            match ks.(d) with
+            | Krange (_, h) -> h
+            | Kall | Kpoint _ ->
+                let last = ex.ex_dims.(d) - 1 in
+                fun () -> last
+          in
+          Some
+            ( s,
+              ex,
+              {
+                fsl_fa = fa;
+                fsl_ps = Array.map start ks;
+                fsl_dim = d;
+                fsl_hi = hi;
+                fsl_buf = Array.make (Array.length ks) 0;
+                fsl_ks = ks;
+              } ))
+
 (* ---- indexing ----------------------------------------------------- *)
 
 and compile_index ctx base subs : unit -> Value.t =
   let env = ctx.env in
-  match fast_extern_read ctx base subs with
-  | Some (s, _, fa) ->
+  match (fast_slice ctx base subs, fast_extern_read ctx base subs) with
+  | Some (s, _, f), _ ->
+      fun () ->
+        if no_hooks env then
+          let hi = fill_slice f in
+          Vvec (f.fsl_fa.fa_get_slice f.fsl_buf f.fsl_dim hi)
+        else index_value env (slot_get s) f.fsl_ks
+  | None, Some (s, _, fa) ->
       let ps =
         Array.of_list
           (List.map
@@ -841,7 +925,7 @@ and compile_index ctx base subs : unit -> Value.t =
           Vfloat (fa.fa_get buf)
         end
         else index_value env (slot_get s) ks
-  | None ->
+  | None, None ->
       let cb = compile_expr ctx base in
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       fun () ->
@@ -1027,8 +1111,20 @@ and compile_assign_index ctx name subs e : unit -> unit =
   let env = ctx.env in
   let s = slot ctx name in
   let ce = compile_expr ctx e in
-  match fast_store ctx name subs with
-  | Some fs -> (
+  match (fast_slice ctx (Var name) subs, fast_store ctx name subs) with
+  | Some (_, ex, f), _ ->
+      fun () ->
+        let v = ce () in
+        if no_hooks env then
+          match v with
+          | Vvec src ->
+              let hi = fill_slice f in
+              f.fsl_fa.fa_set_slice f.fsl_buf f.fsl_dim hi src
+          | v ->
+              (* the boxed setter owns the conversion and its errors *)
+              write_extern env ex f.fsl_ks v
+        else assign_index_value env s f.fsl_ks v
+  | None, Some fs -> (
       let generic () =
         let v = ce () in
         assign_index_value env s fs.fs_ks v
@@ -1066,7 +1162,7 @@ and compile_assign_index ctx name subs e : unit -> unit =
                     fs.fs_ks v
             end
             else generic ())
-  | None ->
+  | None, None ->
       let ks = Array.of_list (List.map (compile_csub ctx) subs) in
       fun () ->
         let v = ce () in
@@ -1138,7 +1234,7 @@ let compile_body (env : Interp.env) ?(value_float = false) ~key_var ~value_var
     let names = referenced_names body in
     let locals =
       List.sort_uniq String.compare
-        (key_var :: value_var :: Ast.assigned_names body)
+        (key_var :: value_var :: Ast.rebound_names body)
     in
     let ctx = { env; slots = Hashtbl.create 32 } in
     List.iter

@@ -2,8 +2,9 @@
 
     [compile_body] lowers a body block to a closure kernel: variables
     resolve to mutable slots instead of per-access hashtable lookups,
-    DistArray point subscripts resolve to the host's unboxed
-    {!Value.fast_access} accessors when available, scalar floats run
+    point and single-range slice subscripts on DistArrays the body does
+    not rebind resolve to the host's unboxed {!Value.fast_access}
+    accessors when available, scalar floats run
     unboxed, and builtins devirtualize to direct OCaml closures.  The
     kernel is observationally identical to
     {!Interp.eval_body_for} — same values bitwise, same exceptions with
@@ -21,7 +22,8 @@ type t
 (** Compile [body] against [env]'s current bindings.  Globals (free
     variables already bound in [env], e.g. DistArray handles and
     hyper-parameters) are captured by reference at compile time; locals
-    become slots private to the kernel.  [value_float] asserts every
+    (the names the body rebinds, not the bases of indexed writes) become
+    slots private to the kernel.  [value_float] asserts every
     iterated value passed to {!run} will be [Vfloat] (enables the
     unboxed value slot).  Returns [None] when the body uses an
     unsupported construct. *)

@@ -30,18 +30,27 @@ and extern = {
       (** iterate over stored entries with their (0-based) index vectors *)
   ex_count : unit -> int;  (** number of stored entries *)
   ex_fast : fast_access option;
-      (** unboxed point-element accessors for float arrays — present
+      (** unboxed point and slice accessors for float arrays — present
           only when no host hook needs to observe individual accesses,
           so compiled loop bodies (see [Compile]) may use them freely *)
 }
 
-(** Scalar fast path into a float-element array: point keys are passed
-    as 0-based per-dimension indices (the callee linearizes against its
-    strides and bounds-checks exactly like the boxed path, so the two
-    paths raise identical exceptions). *)
+(** Unboxed fast path into a float-element array.  Keys are 0-based
+    per-dimension indices; the callee linearizes against its strides
+    and bounds-checks exactly like the boxed path, so the two paths
+    raise identical exceptions.  No accessor retains the key array, so
+    callers may reuse one key buffer. *)
 and fast_access = {
-  fa_get : int array -> float;
-  fa_set : int array -> float -> unit;
+  fa_get : int array -> float;  (** [ex_get] of all-point subscripts *)
+  fa_set : int array -> float -> unit;  (** [ex_set] of a [Vfloat] *)
+  fa_get_slice : int array -> int -> int -> float array;
+      (** [fa_get_slice lo d hi]: the fresh vector [ex_get] returns
+          for point subscripts [lo] everywhere but dimension [d], which
+          runs from [lo.(d)] to [hi] inclusive ([Crange (lo.(d), hi)],
+          or [Call_dim] when it spans the dimension) *)
+  fa_set_slice : int array -> int -> int -> float array -> unit;
+      (** [fa_set_slice lo d hi src]: [ex_set] of [Vvec src] on the
+          same subscripts *)
 }
 
 exception Type_error of string

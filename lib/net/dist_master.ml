@@ -76,6 +76,29 @@ let status_reason = function
   | Unix.WSIGNALED s -> Printf.sprintf "worker killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "worker stopped by signal %d" s
 
+(* the exit of a worker that failed after connecting and sent [Fatal] *)
+let guarded_exit = function Unix.WEXITED 2 -> true | _ -> false
+
+(* The rank and reason a failed run reports, given the workers that
+   died with a nonzero status ([dead], non-empty, in reap order) and
+   the [Fatal] reasons already delivered ([fatals], in arrival order).
+   A sudden death (a signal, or an exit other than the guarded code 2)
+   is the root cause: its peers only report collateral damage.  A
+   guarded exit sent its reason first, so a [Fatal] beats an exit
+   status: the first dead rank's own, else the first to arrive. *)
+let root_cause ~dead ~fatals =
+  match List.find_opt (fun (_, st) -> not (guarded_exit st)) dead with
+  | Some (rank, st) -> (rank, status_reason st)
+  | None -> (
+      let own (rank, _) =
+        Option.map (fun r -> (rank, r)) (List.assoc_opt rank fatals)
+      in
+      match (List.find_map own dead, fatals, dead) with
+      | Some rf, _, _ -> rf
+      | None, rf :: _, _ -> rf
+      | None, [], (rank, st) :: _ -> (rank, status_reason st)
+      | None, [], [] -> invalid_arg "Dist_master.root_cause: no dead worker")
+
 (* ------------------------------------------------------------------ *)
 (* Worker process management                                           *)
 (* ------------------------------------------------------------------ *)
@@ -350,37 +373,43 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
     kill_workers pids
   in
   let events = Event_loop.create () in
-  (* A failing run still checkpoints every pass boundary whose reports
-     already reached this process: a fast worker can crash before the
-     supervision loop has read what its peers sent first. *)
-  let rec salvage_reports () =
+  (* Read the frames workers already delivered, on the way to failing.
+     A failing run still checkpoints every pass boundary whose reports
+     reached this process (a fast worker can crash before the
+     supervision loop has read what its peers sent first), and a dead
+     worker's [Fatal] names the cause better than its exit status.
+     Returns the [Fatal] reasons, in arrival order. *)
+  let rec drain_frames fatals =
     let evs = Event_loop.poll events ~timeout:0.0 in
-    List.iter
-      (function
-        | Event_loop.Message
-            (rank, Wire.Pass_report { pp_pass; pp_parts; pp_buffered; _ }) ->
-            note_pass_report ~rank ~pass:pp_pass pp_parts pp_buffered
-        | Event_loop.Message _ | Event_loop.Closed _ -> ())
-      evs;
-    if evs <> [] then salvage_reports ()
+    let fatals =
+      List.fold_left
+        (fun fatals -> function
+          | Event_loop.Message
+              (rank, Wire.Pass_report { pp_pass; pp_parts; pp_buffered; _ })
+            ->
+              note_pass_report ~rank ~pass:pp_pass pp_parts pp_buffered;
+              fatals
+          | Event_loop.Message (rank, Wire.Fatal { f_reason; _ }) ->
+              (rank, f_reason) :: fatals
+          | Event_loop.Message _ | Event_loop.Closed _ -> fatals)
+        fatals evs
+    in
+    if evs <> [] then drain_frames fatals else List.rev fatals
   in
   let fail_cleanup ?rank fmt =
     Printf.ksprintf
       (fun s ->
-        (try salvage_reports () with _ -> ());
+        (try ignore (drain_frames []) with _ -> ());
         cleanup ();
         raise
           (Orion.Engine.Distributed_error { de_rank = rank; de_reason = s }))
       fmt
   in
   try
-    (* raises if any child already died with a nonzero status.  A
-       suddenly-dead worker (signal, [_exit]) makes its peers die of
-       collateral damage moments later through the guarded
-       uncaught-exception path (exit code 2); when both corpses are on
-       the floor, blame the sudden death, whatever the reap order —
-       and when only guarded corpses are visible, wait briefly for the
-       root cause to become reapable *)
+    (* raises if any child already died with a nonzero status, naming
+       the {!root_cause}.  When only guarded corpses are visible, wait
+       briefly for a sudden death to become reapable, then read the
+       frames already delivered for their [Fatal] reasons *)
     let monitor_children () =
       let reap_dead () =
         List.filter_map
@@ -394,12 +423,13 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
               | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None)
           pids
       in
-      let guarded = function Unix.WEXITED 2 -> true | _ -> false in
       match reap_dead () with
       | [] -> ()
       | dead ->
           let rec settle tries dead =
-            if tries = 0 || List.exists (fun (_, st) -> not (guarded st)) dead
+            if
+              tries = 0
+              || List.exists (fun (_, st) -> not (guarded_exit st)) dead
             then dead
             else begin
               Unix.sleepf 0.05;
@@ -407,12 +437,9 @@ let run ~(materialize : Dist_worker.materialize) ?spawn ?comms
             end
           in
           let dead = settle 20 dead in
-          let rank, status =
-            match List.find_opt (fun (_, st) -> not (guarded st)) dead with
-            | Some root -> root
-            | None -> List.hd dead
-          in
-          fail_cleanup ~rank "%s" (status_reason status)
+          let fatals = try drain_frames [] with _ -> [] in
+          let rank, reason = root_cause ~dead ~fatals in
+          fail_cleanup ~rank "%s" reason
     in
     (* a worker (other than [except]) that already died abnormally — the
        root cause to prefer when another rank merely reports collateral *)

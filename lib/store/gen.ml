@@ -88,13 +88,17 @@ let encode_rating r =
   Bytes.set_int64_le b 8 (Int64.bits_of_float r.r_value);
   b
 
+(* ratings and tokens share one layout: two int32 fields, a float64 *)
+let decode_fixed16 ~path ~what b pos len f =
+  if len <> 16 then bad path what;
+  f
+    (Int32.to_int (Bytes.get_int32_le b pos))
+    (Int32.to_int (Bytes.get_int32_le b (pos + 4)))
+    (Int64.float_of_bits (Bytes.get_int64_le b (pos + 8)))
+
 let decode_rating ~path b =
-  if Bytes.length b <> 16 then bad path "rating";
-  {
-    r_user = Int32.to_int (Bytes.get_int32_le b 0);
-    r_item = Int32.to_int (Bytes.get_int32_le b 4);
-    r_value = Int64.float_of_bits (Bytes.get_int64_le b 8);
-  }
+  decode_fixed16 ~path ~what:"rating" b 0 (Bytes.length b)
+    (fun r_user r_item r_value -> { r_user; r_item; r_value })
 
 type sample = {
   fs_index : int;
@@ -143,12 +147,8 @@ let encode_token t =
   b
 
 let decode_token ~path b =
-  if Bytes.length b <> 16 then bad path "token";
-  {
-    tk_doc = Int32.to_int (Bytes.get_int32_le b 0);
-    tk_word = Int32.to_int (Bytes.get_int32_le b 4);
-    tk_count = Int64.float_of_bits (Bytes.get_int64_le b 8);
-  }
+  decode_fixed16 ~path ~what:"token" b 0 (Bytes.length b)
+    (fun tk_doc tk_word tk_count -> { tk_doc; tk_word; tk_count })
 
 (* ------------------------------------------------------------------ *)
 (* Stateless planted structure                                         *)

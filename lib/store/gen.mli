@@ -74,6 +74,18 @@ type token = { tk_doc : int; tk_word : int; tk_count : float }
 val encode_token : token -> bytes
 val decode_token : path:string -> bytes -> token
 
+(** Decode a rating or token record in place: [f] gets the two int
+    fields and the float of the record [b.[pos, pos + len)].
+    @raise Shard.Corrupt naming [what] when [len] is not 16 *)
+val decode_fixed16 :
+  path:string ->
+  what:string ->
+  bytes ->
+  int ->
+  int ->
+  (int -> int -> float -> 'a) ->
+  'a
+
 (** {1 Generation} *)
 
 (** Generate the [shard]-th of [shards] shards of [spec] into [dir]

@@ -58,6 +58,15 @@ let header_int h dir key =
              reason = Printf.sprintf "missing metadata key %S" key;
            })
 
+(* stream the fixed 16-byte records of a dataset's shards in place *)
+let iter_fixed16 ~what dir headers f =
+  List.iteri
+    (fun i _ ->
+      let path = Shard.shard_path ~dir i in
+      Shard.iter_in_place path ~f:(fun b pos len ->
+          Gen.decode_fixed16 ~path ~what b pos len f))
+    headers
+
 let ratings dir =
   let headers = Shard.dataset_headers dir in
   let h0 = check_schema dir "ratings-v1" headers in
@@ -67,15 +76,8 @@ let ratings dir =
     Dist_array.create_sparse ~name:"ratings" ~dims:[| num_users; num_items |]
       ~default:0.0
   in
-  let count = ref 0 in
-  List.iteri
-    (fun i _ ->
-      let path = Shard.shard_path ~dir i in
-      Shard.iter path ~f:(fun b ->
-          let r = Gen.decode_rating ~path b in
-          Dist_array.set arr [| r.Gen.r_user; r.Gen.r_item |] r.Gen.r_value;
-          incr count))
-    headers;
+  iter_fixed16 ~what:"rating" dir headers (fun user item value ->
+      Dist_array.set_lin arr (Dist_array.linearize2 arr user item) value);
   {
     Orion_data.Ratings.ratings = arr;
     num_users;
@@ -131,14 +133,9 @@ let corpus dir =
       ~default:0.0
   in
   let tokens = ref 0 in
-  List.iteri
-    (fun i _ ->
-      let path = Shard.shard_path ~dir i in
-      Shard.iter path ~f:(fun b ->
-          let t = Gen.decode_token ~path b in
-          tokens := !tokens + int_of_float t.Gen.tk_count;
-          Dist_array.set arr [| t.Gen.tk_doc; t.Gen.tk_word |] t.Gen.tk_count))
-    headers;
+  iter_fixed16 ~what:"token" dir headers (fun doc word count ->
+      tokens := !tokens + int_of_float count;
+      Dist_array.set_lin arr (Dist_array.linearize2 arr doc word) count);
   {
     Orion_data.Corpus.tokens = arr;
     num_docs;

@@ -253,28 +253,58 @@ let read_header path =
       let count, _crc, _ = parse_footer path ic in
       { h with h_count = count })
 
-let fold path ~init ~f =
+(* records are read in chunks of this many bytes (more when one
+   record is larger) *)
+let chunk_len = 1 lsl 16
+
+let iter_in_place path ~f =
   with_file path (fun ic ->
       let count, want_crc, body_end = parse_footer path ic in
       seek_in ic 0;
       let c = { c_path = path; c_ic = ic; c_off = 0 } in
       let crc = Crc32.create () in
       let _h = parse_front ~crc c in
-      let acc = ref init in
+      (* [buf.[lo, hi)] holds the file bytes from offset [c.c_off] on *)
+      let buf = ref (Bytes.create chunk_len) and lo = ref 0 and hi = ref 0 in
+      let want n what =
+        if !hi - !lo < n then begin
+          let have = !hi - !lo in
+          let dst =
+            if n <= Bytes.length !buf then !buf
+            else Bytes.create (max n (2 * Bytes.length !buf))
+          in
+          Bytes.blit !buf !lo dst 0 have;
+          buf := dst;
+          lo := 0;
+          hi := have;
+          while !hi < n do
+            let got = input ic !buf !hi (Bytes.length !buf - !hi) in
+            if got = 0 then
+              corrupt path c.c_off
+                "truncated while reading %s (wanted %d bytes)" what n;
+            hi := !hi + got
+          done
+        end
+      in
+      let take n =
+        Crc32.update crc !buf ~pos:!lo ~len:n;
+        lo := !lo + n;
+        c.c_off <- c.c_off + n
+      in
       let seen = ref 0 in
       while c.c_off < body_end do
         let off0 = c.c_off in
-        let lb = read_exact c 4 "record length" in
-        Crc32.update crc lb ~pos:0 ~len:4;
-        let n = Int32.to_int (Bytes.get_int32_le lb 0) land 0xFFFFFFFF in
+        want 4 "record length";
+        let n = Int32.to_int (Bytes.get_int32_le !buf !lo) land 0xFFFFFFFF in
+        take 4;
         if n > max_record_len then
           corrupt path off0 "implausible record length %d" n;
         if c.c_off + n > body_end then
           corrupt path off0
             "record of %d bytes runs past the footer (truncated shard?)" n;
-        let payload = read_exact c n "record payload" in
-        Crc32.update crc payload ~pos:0 ~len:n;
-        acc := f !acc payload;
+        want n "record payload";
+        f !buf !lo n;
+        take n;
         incr seen
       done;
       if !seen <> count then
@@ -283,8 +313,12 @@ let fold path ~init ~f =
       let got = Crc32.value crc in
       if got <> want_crc then
         corrupt path body_end "CRC mismatch (stored %08lx, computed %08lx)"
-          want_crc got;
-      !acc)
+          want_crc got)
+
+let fold path ~init ~f =
+  let acc = ref init in
+  iter_in_place path ~f:(fun b pos len -> acc := f !acc (Bytes.sub b pos len));
+  !acc
 
 let iter path ~f = fold path ~init:() ~f:(fun () r -> f r)
 

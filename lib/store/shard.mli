@@ -86,6 +86,12 @@ val fold : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
 
 val iter : string -> f:(bytes -> unit) -> unit
 
+(** [iter] without a copy per record: [f buf pos len] sees each record
+    as [buf.[pos, pos + len)] of a buffer the reader reuses, filled by
+    chunked reads, so [f] must not keep [buf].  The same checks and
+    {!Corrupt} reports as [fold]. *)
+val iter_in_place : string -> f:(bytes -> int -> int -> unit) -> unit
+
 (** [fold] over every shard of a dataset directory, in shard order. *)
 val fold_dir : string -> init:'a -> f:('a -> bytes -> 'a) -> 'a
 

@@ -873,6 +873,35 @@ let dataset_digest_mismatch () =
         (String.length de_reason >= String.length prefix
         && String.sub de_reason 0 (String.length prefix) = prefix)
 
+(* The master's choice of root cause.  A worker that fails a check
+   sends [Fatal] and exits with the guarded code 2; when its exit is
+   reapable before the master has read the frame, the frame's reason
+   must still win over "exited with code 2".  A sudden death beats
+   every guarded complaint, whatever the reap order. *)
+let root_cause_choice () =
+  let module M = Orion_net.Dist_master in
+  let check what (want_rank, want_reason) (rank, reason) =
+    Alcotest.(check (pair int string)) what (want_rank, want_reason)
+      (rank, reason)
+  in
+  let digest = "rank 1: dataset digest 1 differs from the master's 2" in
+  check "pending Fatal of the reaped rank"
+    (1, digest)
+    (M.root_cause ~dead:[ (1, Unix.WEXITED 2) ] ~fatals:[ (1, digest) ]);
+  check "the dead rank's own Fatal, not an earlier peer complaint"
+    (1, digest)
+    (M.root_cause
+       ~dead:[ (1, Unix.WEXITED 2) ]
+       ~fatals:[ (0, "peer 1 closed"); (1, digest) ]);
+  check "a sudden death beats a guarded Fatal"
+    (0, "worker killed by signal 9")
+    (M.root_cause
+       ~dead:[ (1, Unix.WEXITED 2); (0, Unix.WSIGNALED 9) ]
+       ~fatals:[ (1, "peer 0 closed") ]);
+  check "no Fatal delivered: the exit status"
+    (1, "worker exited with code 2")
+    (M.root_cause ~dead:[ (1, Unix.WEXITED 2) ] ~fatals:[])
+
 (* ------------------------------------------------------------------ *)
 (* Failure path: a worker aborting mid-pass surfaces as a structured   *)
 (* error within a bounded time, with no leftover workers               *)
@@ -1058,6 +1087,8 @@ let () =
                 (cli_distributed_at_scale args expected))
             cli_at_scale );
       ("dataset", [ tc "master data differs" `Quick dataset_digest_mismatch ]);
+      ( "root_cause",
+        [ tc "pending Fatal beats exit status" `Quick root_cause_choice ] );
       ( "final_gather",
         [ tc "mf gather is O(model)" `Quick final_gather_is_model_sized ] );
       ("failure", [ tc "worker abort mid-pass" `Quick fault_injection ]);

@@ -84,6 +84,72 @@ let test_slice_vec () =
   Dist_array.set_slice_vec a [| V.Call_dim; V.Cpoint 0 |] [| 7.0; 8.0; 9.0 |];
   Alcotest.(check (float 0.0)) "set slice" 8.0 (Dist_array.get a [| 1; 0 |])
 
+(* The stamped extern's unboxed slice accessors against its boxed
+   [ex_get]/[ex_set], on slices whose subscripts may be out of bounds,
+   reversed or empty and whose source may have the wrong length: the
+   same exception and message, the same array afterwards, and every
+   element a successful write touched stamped exactly once, in order. *)
+let test_qcheck_stamped_slice_fast_path () =
+  QCheck.Test.make ~count:500 ~name:"stamped slice fast path = boxed path"
+    QCheck.(
+      quad (pair (int_range 1 4) (int_range 1 5)) (pair bool bool)
+        (triple (int_range (-1) 5) (int_range (-1) 6) (int_range (-1) 6))
+        (pair (int_range 0 6) bool))
+    (fun ((rows, cols), (sparse, whole), (p, lo, hi), (len, col_slice)) ->
+      let dims = [| rows; cols |] in
+      let make () =
+        let a =
+          if sparse then
+            Dist_array.create_sparse ~name:"s" ~dims ~default:0.0
+          else Dist_array.fill_dense ~name:"s" ~dims 0.0
+        in
+        Dist_array.set a [| 0; 0 |] 0.5;
+        let stamps = ref [] in
+        let ex =
+          Dist_array.to_stamped_extern
+            ~stamp:(fun lin -> stamps := lin :: !stamps)
+            a
+        in
+        (a, stamps, ex)
+      in
+      (* the slice runs along dim [d]; the other dim sits at [p] *)
+      let d = if col_slice then 0 else 1 in
+      let lo, hi = if whole then (0, dims.(d) - 1) else (lo, hi) in
+      let range = if whole then V.Call_dim else V.Crange (lo, hi) in
+      let subs =
+        if d = 0 then [| range; V.Cpoint p |] else [| V.Cpoint p; range |]
+      in
+      let key = if d = 0 then [| lo; p |] else [| p; lo |] in
+      let src = Array.init len (fun k -> float_of_int (k + 1)) in
+      let attempt f =
+        match f () with () -> "ok" | exception e -> Printexc.to_string e
+      in
+      let a_box, st_box, ex_box = make () in
+      let a_fast, st_fast, ex_fast = make () in
+      let fa = Option.get ex_fast.V.ex_fast in
+      let read_box = attempt (fun () -> ignore (ex_box.V.ex_get subs)) in
+      let read_fast = attempt (fun () -> ignore (fa.V.fa_get_slice key d hi)) in
+      let same_read =
+        match (ex_box.V.ex_get subs, fa.V.fa_get_slice key d hi) with
+        | V.Vvec x, y -> x = y
+        | _ -> false
+        | exception _ -> true
+      in
+      let write_box = attempt (fun () -> ex_box.V.ex_set subs (V.Vvec src)) in
+      let write_fast = attempt (fun () -> fa.V.fa_set_slice key d hi src) in
+      let written =
+        if write_fast <> "ok" then []
+        else
+          List.init (hi - lo + 1) (fun k ->
+              let key = Array.copy key in
+              key.(d) <- lo + k;
+              Dist_array.linearize a_fast key)
+      in
+      read_box = read_fast && same_read && write_box = write_fast
+      && Dist_array.entries a_box = Dist_array.entries a_fast
+      && List.rev !st_fast = written
+      && !st_box = !st_fast)
+
 let test_extern_bridge () =
   let a = Dist_array.fill_dense ~name:"x" ~dims:[| 2; 2 |] 1.0 in
   let gets = ref 0 in
@@ -565,6 +631,7 @@ let () =
           tc "text file + checkpoint" `Quick test_text_file_and_checkpoint;
           qc (test_qcheck_linearize_roundtrip ());
           qc (test_qcheck_stamped_extern ());
+          qc (test_qcheck_stamped_slice_fast_path ());
         ] );
       ( "pipeline",
         [

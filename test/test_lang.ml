@@ -1046,7 +1046,15 @@ let make_kernel_env ~seed () =
           (fun f ->
             Array.iteri (fun i x -> f [| i |] (Value.Vfloat x)) data);
         ex_count = (fun () -> kernel_len);
-        ex_fast = Some { fa_get = get_f; fa_set = set_f };
+        ex_fast =
+          Some
+            {
+              fa_get = get_f;
+              fa_set = set_f;
+              (* this extern takes no ranges, on either path *)
+              fa_get_slice = (fun _ _ _ -> ignore (point Value.Call_dim); [||]);
+              fa_set_slice = (fun _ _ _ _ -> ignore (point Value.Call_dim));
+            };
       }
   in
   let env = Interp.create_env ~seed () in
@@ -1271,6 +1279,246 @@ let test_compile_random_bodies_qcheck () =
       check_compiled_matches_interpreted body_src;
       true)
 
+(* ---- the same differential on real 2-D DistArrays ---------------- *)
+
+module Dist_array = Orion_dsm.Dist_array
+
+(* [A] (4x5) and [B] (4x5) exposed through [Dist_array.to_extern], so
+   the compiled kernel takes the unboxed point and slice accessors on
+   them; sparse arrays start with every other cell stored *)
+let dist_rows = 4
+let dist_cols = 5
+
+let make_dist_env ~sparse ~seed () =
+  let cell name key =
+    (if name = "A" then 1.0 else -1.0)
+    *. (0.5 +. float_of_int ((key.(0) * dist_cols) + key.(1)) /. 8.0)
+  in
+  let make name =
+    let dims = [| dist_rows; dist_cols |] in
+    if sparse then begin
+      let a = Dist_array.create_sparse ~name ~dims ~default:0.0 in
+      for i = 0 to dist_rows - 1 do
+        for j = 0 to dist_cols - 1 do
+          if (i + j) mod 2 = 0 then
+            Dist_array.set a [| i; j |] (cell name [| i; j |])
+        done
+      done;
+      a
+    end
+    else Dist_array.init_dense ~name ~dims ~f:(cell name)
+  in
+  let arrays = [ make "A"; make "B" ] in
+  let env = Interp.create_env ~seed () in
+  List.iter
+    (fun a ->
+      Interp.set_var env (Dist_array.name a)
+        (Value.Vextern (Dist_array.to_extern a)))
+    arrays;
+  (env, arrays)
+
+type hooks = No_hooks | Access_hook | Profiler
+
+(* Run [body] over keys [1..dist_rows] interpreted and compiled: same
+   outcome (exception and message), same stored entries bitwise, same
+   leaked [u]/[t], and with [hooks] set the same access records. *)
+let check_dist_kernel ~sparse ~hooks body_src =
+  let body = parse body_src in
+  let keys = Array.init dist_rows (fun i -> [| i |]) in
+  let value_of i = Value.Vfloat (0.75 -. (0.25 *. float_of_int i)) in
+  let setup () =
+    let env, arrays = make_dist_env ~sparse ~seed:7 () in
+    let log = ref [] in
+    let profile = Profile.create () in
+    (match hooks with
+    | No_hooks -> ()
+    | Access_hook ->
+        env.Interp.on_array_access <-
+          Some
+            (fun ex ~write subs ->
+              log :=
+                Printf.sprintf "%s %s %s" ex.Value.ex_name
+                  (if write then "w" else "r")
+                  (String.concat ","
+                     (Array.to_list
+                        (Array.map
+                           (function
+                             | Value.Cpoint p -> string_of_int p
+                             | Value.Crange (a, b) ->
+                                 Printf.sprintf "%d:%d" a b
+                             | Value.Call_dim -> ":")
+                           subs)))
+                :: !log)
+    | Profiler -> env.Interp.profile <- Some profile);
+    (env, arrays, log, profile)
+  in
+  let outcome f =
+    try
+      Array.iteri f keys;
+      "ok"
+    with
+    | Interp.Runtime_error m -> "runtime: " ^ m
+    | Value.Type_error m -> "type: " ^ m
+    | e -> Printexc.to_string e
+  in
+  let env_i, arrays_i, log_i, prof_i = setup () in
+  let outcome_i =
+    outcome (fun i key ->
+        Interp.eval_body_for env_i ~key_var:"key" ~value_var:"v" ~key
+          ~value:(value_of i) body)
+  in
+  let env_c, arrays_c, log_c, prof_c = setup () in
+  let kernel =
+    match
+      Compile.compile_body env_c ~value_float:true ~key_var:"key"
+        ~value_var:"v" body
+    with
+    | Some k -> k
+    | None -> Alcotest.failf "body did not compile:\n%s" body_src
+  in
+  let outcome_c =
+    outcome (fun i key -> Compile.run kernel ~key ~value:(value_of i))
+  in
+  Compile.flush_locals kernel;
+  let what =
+    Printf.sprintf "%s, for:\n%s" (if sparse then "sparse" else "dense")
+      body_src
+  in
+  Alcotest.(check string) ("same outcome " ^ what) outcome_i outcome_c;
+  List.iter2
+    (fun a_i a_c ->
+      let entries a =
+        Array.map
+          (fun (k, x) -> (Array.to_list k, Int64.bits_of_float x))
+          (Dist_array.entries a)
+      in
+      if entries a_i <> entries a_c then
+        Alcotest.failf "%s differs (%s)" (Dist_array.name a_i) what)
+    arrays_i arrays_c;
+  List.iter
+    (fun name ->
+      let s v = match v with Some x -> Value.to_string x | None -> "<unset>" in
+      Alcotest.(check string)
+        (Printf.sprintf "leaked %s %s" name what)
+        (s (Interp.var_opt env_i name))
+        (s (Interp.var_opt env_c name)))
+    [ "u"; "t" ];
+  Alcotest.(check (list string)) ("same access records " ^ what)
+    (List.rev !log_i) (List.rev !log_c);
+  Alcotest.(check (list (triple string int int)))
+    ("same profile counts " ^ what)
+    (Profile.array_stats prof_i) (Profile.array_stats prof_c)
+
+let dist_bodies =
+  [
+    (* point reads and writes on arrays the body writes *)
+    "k = key[1]\nA[k, 2] = A[k, 1] + v\nA[k, 3] += B[k, 2] * 2.0\nA[k, 4] = 3";
+    (* whole-dimension slices, read and written, both orientations *)
+    "k = key[1]\nu = A[k, :]\nA[k, :] = u * 2.0 - B[k, :]";
+    "j = key[1]\n\
+     u = A[:, j] + B[:, j + 1]\n\
+     t = dot(u, u)\n\
+     A[:, j] = u * v\n\
+     B[:, j] = A[:, j + 1]";
+    (* the mf update *)
+    "W_row = A[:, key[1]]\n\
+     H_row = B[:, key[1] + 1]\n\
+     d = v - dot(W_row, H_row)\n\
+     A[:, key[1]] = W_row + H_row * (d * 0.1)\n\
+     B[:, key[1] + 1] = H_row + W_row * (d * 0.1)";
+    (* lo:hi ranges *)
+    "k = key[1]\nu = A[k, 2:4]\nA[k, 1:3] = u + B[k, 3:5]\nt = sum(A[1:k, 2])";
+    (* a scalar and an int stored into a one-element slice *)
+    "k = key[1]\nA[k, 2:2] = v\nA[k, 5:5] = k";
+    (* out-of-bounds point inside a slice, read and write *)
+    "k = key[1]\nu = A[k + 1, :]\nt = u[1]";
+    "k = key[1]\nA[k + 1, 2:3] = A[k, 2:3]";
+    "k = key[1]\nu = A[0, 1:2]";
+    (* range end past the last index, read and write *)
+    "k = key[1]\nu = A[k, 3:6]";
+    "k = key[1]\nA[k, 4:6] = B[k, 1:3]";
+    "u = A[2:5, 1]";
+    (* reversed and empty ranges *)
+    "k = key[1]\nu = A[k, 4:2]";
+    "k = key[1]\nA[k, 4:2] = zeros(0)";
+    "k = key[1]\n\
+     u = A[k, 4:3]\n\
+     t = length(u)\n\
+     A[k, 4:3] = u\n\
+     A[k + 10, 2:1] = u";
+    (* slice write with a length mismatch *)
+    "k = key[1]\nA[k, :] = zeros(3)";
+    "k = key[1]\nA[:, 2] = B[k, :]";
+    (* a non-vector into a wider slice, and a non-number *)
+    "k = key[1]\nA[k, 1:3] = v";
+    "k = key[1]\nA[k, :] = true";
+    (* a body that writes A[...] and also rebinds A: the generic path *)
+    "k = key[1]\nA[k, 1] += v\nu = A[k, :]\nA[k, 2:3] = u[1:2]\nA = B";
+    (* subscripts evaluated left to right, lo before hi, with RNG draws *)
+    "k = key[1]\n\
+     u = A[k, rand_int(2) + 1:rand_int(2) + 3]\n\
+     A[rand_int(4) + 1, rand_int(2) + 1:4] = u[1:2] + randn()";
+    "u = A[rand_int(2) + 1:rand_int(2) + 3, rand_int(5) + 1]\n\
+     B[rand_int(2) + 1:3, rand_int(5) + 1] = u * randn()";
+  ]
+
+let test_compile_dist_arrays () =
+  List.iter
+    (fun sparse ->
+      List.iter
+        (fun hooks -> List.iter (check_dist_kernel ~sparse ~hooks) dist_bodies)
+        [ No_hooks; Access_hook; Profiler ])
+    [ false; true ]
+
+(* random slice and point traffic on A and B, subscripts often out of
+   range, reversed or empty *)
+let gen_dist_body : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let idx =
+    oneof [ map string_of_int (int_range 0 6); return "k"; return "(k + 1)" ]
+  in
+  let range = oneof [ return ":"; map2 (fun a b -> a ^ ":" ^ b) idx idx ] in
+  let arr = oneofl [ "A"; "B" ] in
+  let slice =
+    oneof
+      [
+        map3 (fun a i r -> Printf.sprintf "%s[%s, %s]" a i r) arr idx range;
+        map3 (fun a r i -> Printf.sprintf "%s[%s, %s]" a r i) arr range idx;
+      ]
+  in
+  let point =
+    map3 (fun a i j -> Printf.sprintf "%s[%s, %s]" a i j) arr idx idx
+  in
+  let stmt =
+    oneof
+      [
+        map (fun s -> "u = " ^ s) slice;
+        map (fun p -> "t = " ^ p ^ " + v") point;
+        map (fun s -> s ^ " = u") slice;
+        map (fun s -> s ^ " = u * 0.5 + t") slice;
+        map (fun p -> p ^ " = t * v") point;
+        map (fun p -> p ^ " += 1.0") point;
+        map2
+          (fun s n -> Printf.sprintf "%s = zeros(%d)" s n)
+          slice (int_range 0 5);
+      ]
+  in
+  let* n = int_range 1 5 in
+  let+ stmts = list_repeat n stmt in
+  String.concat "\n" ("k = key[1]" :: "t = v" :: "u = A[k, :]" :: stmts)
+
+let test_compile_dist_random_qcheck () =
+  QCheck.Test.make ~count:300
+    ~name:"compiled kernel matches interpreter on DistArray slices"
+    QCheck.(
+      pair (make ~print:(fun s -> s) gen_dist_body) (pair bool (int_range 0 2)))
+    (fun (body_src, (sparse, h)) ->
+      let hooks =
+        match h with 0 -> No_hooks | 1 -> Access_hook | _ -> Profiler
+      in
+      check_dist_kernel ~sparse ~hooks body_src;
+      true)
+
 let test_compile_disabled_env_var () =
   (* ORION_NO_COMPILE turns the compiler off; unsetting turns it on *)
   let with_env v f =
@@ -1378,6 +1626,8 @@ let () =
         [
           tc "handwritten bodies" `Quick test_compile_handwritten_bodies;
           qc (test_compile_random_bodies_qcheck ());
+          tc "DistArray points and slices" `Quick test_compile_dist_arrays;
+          qc (test_compile_dist_random_qcheck ());
           tc "ORION_NO_COMPILE" `Quick test_compile_disabled_env_var;
           tc "rejects nested parallel_for" `Quick
             test_compile_rejects_nested_parallel_for;

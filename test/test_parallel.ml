@@ -378,9 +378,57 @@ let test_scale_must_echo_instance () =
         (Orion.Engine.run inst.Orion.App.inst_session inst ~mode:`Sim
            ~scale:1.0 ()))
 
+(* ------------------------------------------------------------------ *)
+(* Compiled kernels stay on the unboxed path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words one compiled pass allocates per entry, on the
+   kernel the pool compiles (externs without hooks).  Allocation is
+   deterministic for a given build, so a kernel that silently falls
+   back to the boxed path — boxed subscripts, a key array per slice
+   element — shows up as a jump in this count. *)
+let kernel_words_per_entry name =
+  let app = find_app name in
+  let inst = app.Orion.App.app_make ~num_machines:2 ~workers_per_machine:1 () in
+  match Orion.Engine.compile_kernel inst inst.Orion.App.inst_env with
+  | None -> Alcotest.failf "the %s loop body does not compile" name
+  | Some kernel ->
+      let entries =
+        Array.of_list
+          (List.rev
+             (Dist_array.fold
+                (fun acc key v -> (key, v) :: acc)
+                [] inst.Orion.App.inst_iter))
+      in
+      let pass () =
+        Array.iter
+          (fun (key, value) -> Orion.Compile.run kernel ~key ~value)
+          entries
+      in
+      pass ();
+      let w0 = Gc.minor_words () in
+      pass ();
+      (Gc.minor_words () -. w0) /. float_of_int (Array.length entries)
+
+let kernel_allocation_bound name ~bound () =
+  let words = kernel_words_per_entry name in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s kernel allocates %.1f words/entry (bound %.0f)" name
+       words bound)
+    true (words <= bound)
+
 let () =
   Alcotest.run "parallel"
     [
+      ( "kernel_alloc",
+        [
+          (* 268 and 130 words/entry on the unboxed path; 440 and 366
+             when every access took the boxed one *)
+          tc "mf kernel stays unboxed" `Quick
+            (kernel_allocation_bound "mf" ~bound:300.0);
+          tc "lda kernel stays unboxed" `Quick
+            (kernel_allocation_bound "lda" ~bound:160.0);
+        ] );
       ( "domain_exec",
         [
           tc "2d-ordered happens-before" `Quick test_2d_ordered_happens_before;
